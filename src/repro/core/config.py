@@ -172,8 +172,9 @@ class ServiceConfig:
     host, port:
         TCP listen address; port 0 picks an ephemeral port (tests).
     ingress_batch_size:
-        Publishes coalesced into one pipeline submission.  Bounded by
-        the engine's 256-query packed-id limit, like ``batch_size``.
+        Publishes coalesced into one ingress batch.  Bounded by the
+        engine's 256-query packed-id limit, like ``batch_size``.  Under
+        load one pipeline run takes every batch queued behind it.
     batch_deadline_s, min_deadline_s, max_deadline_s:
         Flush deadline for partially filled ingress batches.  The
         deadline adapts within ``[min, max]`` using the Figure 6
@@ -189,16 +190,13 @@ class ServiceConfig:
         Per-connection cap on outstanding publishes; a connection at
         the cap stops being read, which surfaces as TCP backpressure.
     match_threads:
-        ``num_threads`` handed to the engine pipeline per ingress batch.
+        ``num_threads`` handed to the engine pipeline per matcher run.
     reconsolidate_threshold:
         Delta-store size (adds + tombstones) that triggers a background
         reconsolidation; ``0`` disables the automatic trigger (the
         ``reconsolidate`` admin verb still works).
     reconsolidate_interval_s:
         How often the background task checks the threshold.
-    latency_window:
-        Retained for compatibility with the seed's latency reservoir;
-        the fixed-bucket histograms need no sample window.
     max_frame_bytes:
         Hard cap on one protocol frame (guards the length prefix).
     trace:
@@ -225,7 +223,6 @@ class ServiceConfig:
     match_threads: int = 2
     reconsolidate_threshold: int = 512
     reconsolidate_interval_s: float = 0.25
-    latency_window: int = 4096
     max_frame_bytes: int = 8 * 1024 * 1024
     trace: bool = True
     metrics_port: int | None = None
@@ -257,8 +254,6 @@ class ServiceConfig:
             raise ValidationError("reconsolidate_threshold must be non-negative")
         if self.reconsolidate_interval_s <= 0:
             raise ValidationError("reconsolidate_interval_s must be positive")
-        if self.latency_window <= 0:
-            raise ValidationError("latency_window must be positive")
         if self.max_frame_bytes <= 0:
             raise ValidationError("max_frame_bytes must be positive")
         if self.metrics_port is not None and not 0 <= self.metrics_port <= 65535:

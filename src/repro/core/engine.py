@@ -342,7 +342,7 @@ class TagMatch:
         Deterministic and single-threaded; used by tests and the CPU-only
         baseline.  ``query_blocks`` is an ``(n, blocks)`` array.
         """
-        self._check_consolidated()
+        self._check_encoded_ok("match_batch")
         out: list[np.ndarray] = []
         for row in query_blocks:
             relevant = self.partition_table.relevant_partitions(row)
@@ -380,7 +380,7 @@ class TagMatch:
         Accepts the :meth:`MatchPipeline.run` keyword arguments
         (``num_threads``, ``batch_timeout_s``, ``arrival_rate_qps``).
         """
-        self._check_consolidated()
+        self._check_encoded_ok("match_stream")
         assert self.pipeline is not None
         return self.pipeline.run(query_blocks, unique=unique, **pipeline_kwargs)
 
@@ -430,6 +430,20 @@ class TagMatch:
         if self.partition_table is None:
             raise ConsolidationError(
                 "index not built: call consolidate() after add_set/remove_set"
+            )
+
+    def _check_encoded_ok(self, api: str) -> None:
+        """Refuse encoded-block matching on an ``exact_check`` engine.
+
+        The exact check needs each query's original tags; encoded blocks
+        have lost them, so answering would return the Bloom false
+        positives that :meth:`match` filters out.
+        """
+        self._check_consolidated()
+        if self._store_tags:
+            raise ValidationError(
+                f"{api} receives encoded blocks and cannot run exact_check; "
+                "use match()/match_unique() on exact_check engines"
             )
 
     def close(self) -> None:

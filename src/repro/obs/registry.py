@@ -89,7 +89,9 @@ class Histogram:
     JSON-safe.
     """
 
-    __slots__ = ("bounds", "counts", "overflow", "total", "sum_s", "max_seen", "_lock")
+    __slots__ = (
+        "bounds", "counts", "overflow", "total", "sum_s", "min_seen", "max_seen", "_lock"
+    )
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS) -> None:
         if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
@@ -99,6 +101,7 @@ class Histogram:
         self.overflow = 0
         self.total = 0
         self.sum_s = 0.0
+        self.min_seen = math.inf
         self.max_seen = 0.0
         self._lock = threading.Lock()
 
@@ -111,6 +114,8 @@ class Histogram:
                 self.overflow += 1
             self.total += 1
             self.sum_s += value
+            if value < self.min_seen:
+                self.min_seen = value
             if value > self.max_seen:
                 self.max_seen = value
 
@@ -120,12 +125,16 @@ class Histogram:
         Linear interpolation inside the winning bucket; the overflow
         bucket reports its lower edge (the last finite bound) — a
         deliberate underestimate rather than an invented upper edge.
+        The estimate is clamped to ``[min_seen, max_seen]``: bucket
+        edges can lie outside what was observed (three 0.2 s samples
+        would otherwise read p99 = 0.2485 s).
         """
         with self._lock:
             if self.total == 0:
                 return 0.0
             rank = q * self.total
             cumulative = 0
+            estimate = self.bounds[-1]
             for i, c in enumerate(self.counts):
                 if c == 0:
                     continue
@@ -133,9 +142,10 @@ class Histogram:
                     lo = self.bounds[i - 1] if i > 0 else 0.0
                     hi = self.bounds[i]
                     frac = (rank - cumulative) / c
-                    return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+                    estimate = lo + (hi - lo) * min(max(frac, 0.0), 1.0)
+                    break
                 cumulative += c
-            return self.bounds[-1]
+            return min(max(estimate, self.min_seen), self.max_seen)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe copy: counts plus the standard percentile trio."""

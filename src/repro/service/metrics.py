@@ -42,20 +42,20 @@ _COUNTER_ATTRS = (
     "errors",
     "batches",
     "batched_queries",
+    "match_runs",
     "reconsolidations",
 )
 
+#: Bucket bounds of the publishes-per-run histogram: powers of two up
+#: to the default ``max_inflight``, the most one run can carry.
+RUN_SIZE_BUCKETS: tuple[float, ...] = tuple(float(2**i) for i in range(11))
+
 
 class ServiceMetrics:
-    """Aggregate counters + fixed-bucket latency/stage histograms.
-
-    ``latency_window`` is accepted for backward compatibility with the
-    reservoir-based seed; the histogram needs no sample window.
-    """
+    """Aggregate counters + fixed-bucket latency/stage histograms."""
 
     def __init__(
         self,
-        latency_window: int = 4096,
         *,
         rate_window_s: float = 30.0,
         registry: Registry | None = None,
@@ -72,9 +72,16 @@ class ServiceMetrics:
         self.batches = 0
         self.batched_queries = 0
         self.flush_reasons = {"full": 0, "timeout": 0, "shutdown": 0}
+        #: Pipeline runs and the publishes they carried: a run coalesces
+        #: every ingress batch queued while the previous run was going.
+        self.match_runs = 0
+        self.run_queries = 0
         self.reconsolidations = 0
         self._rate = SlidingRate(rate_window_s, clock=clock)
         self.latency = self.registry.histogram("repro_publish_latency_seconds")
+        self.run_size = self.registry.histogram(
+            "repro_match_run_publishes", buckets=RUN_SIZE_BUCKETS
+        )
         # Pre-create the four canonical stage histograms so the stats
         # verb and the metrics endpoint always expose the full §4.3
         # breakdown, even before the first span arrives.
@@ -89,6 +96,11 @@ class ServiceMetrics:
         self.batches += 1
         self.batched_queries += occupancy
         self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
+
+    def record_run(self, publishes: int) -> None:
+        self.match_runs += 1
+        self.run_queries += publishes
+        self.run_size.observe(publishes)
 
     def record_publish(self, latency_s: float) -> None:
         self.publishes += 1
@@ -169,6 +181,12 @@ class ServiceMetrics:
                 self.batched_queries / self.batches if self.batches else 0.0
             ),
             "flush_reasons": dict(self.flush_reasons),
+            "match_runs": self.match_runs,
+            #: Publishes per pipeline run; above ``batch_occupancy`` when
+            #: runs coalesce several ingress batches.
+            "run_occupancy": (
+                self.run_queries / self.match_runs if self.match_runs else 0.0
+            ),
             "batch_deadline_ms": deadline_s * 1e3,
             "latency": {
                 "p50_ms": lat["p50_s"] * 1e3,

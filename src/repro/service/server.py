@@ -7,17 +7,21 @@ messaging system):
   store, the ingress batcher, admission counters, and epoch swaps.  No
   locks — matcher threads only ever see immutable snapshots.
 - Publishes are admitted (bounded in-flight queue, else an immediate
-  ``OVERLOAD`` reply), encoded, and coalesced by the ingress batcher;
-  each flushed batch runs the existing four-stage pipeline via
-  ``engine.match_stream`` in a worker thread, then the delta overlay
-  (:func:`repro.service.delta.apply_delta`), then replies.
+  ``OVERLOAD`` reply), encoded, and coalesced by the ingress batcher.
+  The publish path is work-conserving: one matcher task keeps at most
+  one pipeline run in flight, and every ingress batch flushed while a
+  run is going queues up and rides the next run together.  A run is
+  one ``engine.match_stream`` over the stacked rows in a worker thread,
+  then the delta overlay (:func:`repro.service.delta.apply_delta`),
+  then replies — so under load the kernel sees full per-partition
+  batches (Figure 6), while an idle server still runs each batch alone.
 - Subscribes/unsubscribes mutate the delta store immediately — no
   ``consolidate()`` on the hot path — and a background task rebuilds
   the frozen index once the delta grows past a threshold, swapping the
-  new engine in atomically by reference.  In-flight batches hold a
-  lease on the engine they started with; a retired engine is closed
-  only when its last lease drains, so readers are never blocked and
-  never see a half-built index.
+  new engine in atomically by reference.  The in-flight run holds a
+  lease on the engine it started with; a retired engine is closed only
+  once no run uses it, so readers are never blocked and never see a
+  half-built index.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ class _Conn:
 
 @dataclass
 class _PubTicket:
-    """One admitted publish waiting for its batch to return."""
+    """One admitted publish waiting for its pipeline run to return."""
 
     conn: _Conn
     req_id: object
@@ -85,9 +89,7 @@ class MatchServer:
         self.config = config if config is not None else ServiceConfig()
         self.engine = engine
         self.snapshot_path = snapshot_path
-        self.metrics = ServiceMetrics(
-            self.config.latency_window, rate_window_s=self.config.rate_window_s
-        )
+        self.metrics = ServiceMetrics(rate_window_s=self.config.rate_window_s)
         #: Read position into the global tracer ring: stats/metrics
         #: renders pull only the spans recorded since the last pull.
         self._trace_cursor = 0
@@ -120,7 +122,13 @@ class MatchServer:
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        self._leases: dict[int, int] = {}
+        #: Ingress batches flushed while a run is in flight; the matcher
+        #: takes all of them as its next run.
+        self._queued: list[Batch] = []
+        self._matcher: asyncio.Task | None = None
+        #: The engine the in-flight run leased (``None`` when idle): a
+        #: swapped-out engine is closed only once no run uses it.
+        self._run_engine: TagMatch | None = None
         self._tasks: set[asyncio.Task] = set()
         self._folding = False
         self._stopping = False
@@ -303,43 +311,89 @@ class MatchServer:
         self._idle.clear()
         self._batcher.add(row, ticket)
 
-    def _on_flush(self, batch: Batch, reason: str) -> None:
-        self.metrics.record_batch(len(batch), reason)
-        task = asyncio.get_running_loop().create_task(self._run_batch(batch))
+    def _spawn(self, coro) -> asyncio.Task:
+        """Start a task that shutdown waits for."""
+        task = asyncio.get_running_loop().create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
-    async def _run_batch(self, batch: Batch) -> None:
-        tickets: list[_PubTicket] = batch.states
+    def _on_flush(self, batch: Batch, reason: str) -> None:
+        self.metrics.record_batch(len(batch), reason)
+        self._queued.append(batch)
+        if self._matcher is None:
+            self._matcher = self._spawn(self._match_loop())
+
+    async def _match_loop(self) -> None:
+        """Run queued batches until none are left, one run at a time.
+
+        Each run takes every batch queued so far: while a run is in
+        flight, flushed batches pile up and ride the next run together.
+        """
+        try:
+            while self._queued:
+                batches, self._queued = self._queued, []
+                await self._run(batches)
+        finally:
+            self._matcher = None
+
+    async def _run(self, batches: list[Batch]) -> None:
+        """One pipeline run over the stacked batches, then per-ticket replies.
+
+        The run sees one delta view and one engine, so every reply in it
+        carries the same epoch.  The matcher does not wait for the
+        replies to be written (see :meth:`_fan_out`).
+        """
+        tickets: list[_PubTicket] = [t for batch in batches for t in batch.states]
+        blocks = np.vstack([batch.queries for batch in batches])
+        self.metrics.record_run(len(tickets))
         unique_flags = [t.unique for t in tickets]
         view = self.delta.view()
-        engine = self._lease()
+        engine = self._run_engine = self.engine
         try:
             results, epoch = await asyncio.to_thread(
-                self._match_batch_sync, engine, batch.queries, unique_flags, view
+                self._match_sync, engine, blocks, unique_flags, view
             )
         except BaseException as exc:  # noqa: BLE001 - replied per ticket
             self.metrics.errors += 1
-            for ticket in tickets:
-                await self._send(
-                    ticket.conn,
-                    {"id": ticket.req_id, "ok": False, "error": f"match_failed: {exc}"},
-                )
-                self._finish_pub(ticket)
+            error = f"match_failed: {exc}"
+            self._fan_out(
+                tickets, [{"id": t.req_id, "ok": False, "error": error} for t in tickets]
+            )
+            if not isinstance(exc, Exception):
+                raise  # cancellation or interrupt: answered, then passed on
             return
         finally:
-            self._release(engine)
-        for ticket, keys in zip(tickets, results):
-            self.metrics.record_publish(time.perf_counter() - ticket.t0)
-            await self._send(
-                ticket.conn,
-                {
-                    "id": ticket.req_id,
-                    "ok": True,
-                    "keys": keys.tolist(),
-                    "epoch": epoch,
-                },
-            )
+            self._run_engine = None
+            if engine is not self.engine:
+                self._close_later(engine)
+        self._fan_out(
+            tickets,
+            [
+                {"id": t.req_id, "ok": True, "keys": keys.tolist(), "epoch": epoch}
+                for t, keys in zip(tickets, results)
+            ],
+        )
+
+    def _fan_out(self, tickets: list[_PubTicket], replies: list[dict]) -> None:
+        """Send each ticket its reply, in one task per connection.
+
+        A peer that stops reading blocks in ``drain()`` for good; with
+        one task per connection that stalls only its own replies (and,
+        through its semaphore, its own publishes), never the matcher or
+        other connections.
+        """
+        by_conn: dict[_Conn, list[tuple[_PubTicket, dict]]] = {}
+        for ticket, reply in zip(tickets, replies):
+            by_conn.setdefault(ticket.conn, []).append((ticket, reply))
+        for pairs in by_conn.values():
+            self._spawn(self._reply(pairs))
+
+    async def _reply(self, pairs: list[tuple[_PubTicket, dict]]) -> None:
+        for ticket, reply in pairs:
+            if reply["ok"]:
+                self.metrics.record_publish(time.perf_counter() - ticket.t0)
+            await self._send(ticket.conn, reply)
             self._finish_pub(ticket)
 
     def _finish_pub(self, ticket: _PubTicket) -> None:
@@ -348,23 +402,23 @@ class MatchServer:
         if self._inflight == 0:
             self._idle.set()
 
-    def _match_batch_sync(
+    def _match_sync(
         self,
         engine: TagMatch,
         blocks: np.ndarray,
         unique_flags: list[bool],
         view: DeltaView,
     ) -> tuple[list[np.ndarray], int]:
-        """Worker-thread body: frozen pipeline run + delta overlay.
+        """Worker-thread body of one run: frozen pipeline run + delta overlay.
 
         The frozen run always uses multiset semantics so tombstone
         subtraction is exact; per-query ``unique`` is applied after the
         overlay.  No inner flush timeout: the ingress batcher already
-        decided this batch's latency budget.
+        decided each batch's latency budget.
 
         With memoization on, signatures already matched against this
         epoch are served from the LRU and only the misses ride the
-        pipeline (a fully memoized batch never touches the device).
+        pipeline (a fully memoized run never touches the device).
         """
         epoch = engine.epoch
         if self._memo is None:
@@ -413,34 +467,16 @@ class MatchServer:
     # ------------------------------------------------------------------
     # Epoch swap / reconsolidation
     # ------------------------------------------------------------------
-    def _lease(self) -> TagMatch:
-        engine = self.engine
-        self._leases[id(engine)] = self._leases.get(id(engine), 0) + 1
-        return engine
-
-    def _release(self, engine: TagMatch) -> None:
-        remaining = self._leases.get(id(engine), 0) - 1
-        if remaining > 0:
-            self._leases[id(engine)] = remaining
-            return
-        self._leases.pop(id(engine), None)
-        if engine is not self.engine:
-            self._close_later(engine)
-
     def _close_later(self, engine: TagMatch) -> None:
-        task = asyncio.get_running_loop().create_task(
-            asyncio.to_thread(engine.close)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._spawn(asyncio.to_thread(engine.close))
 
     async def reconsolidate(self) -> int:
         """Rebuild the frozen index off the hot path and swap epochs.
 
         Readers are never blocked: the rebuild runs in a worker thread
         over captured snapshots, the swap is a reference assignment on
-        the event loop, and the old engine closes when its last
-        in-flight batch releases its lease.
+        the event loop, and the old engine closes once the in-flight
+        run, if it leased that engine, ends.
         """
         if self._folding:
             return self.engine.epoch
@@ -461,7 +497,7 @@ class MatchServer:
         )
         self.engine = new_engine
         self.metrics.reconsolidations += 1
-        if id(old) not in self._leases:
+        if old is not self._run_engine:
             self._close_later(old)
         self._folding = False
         return new_engine.epoch

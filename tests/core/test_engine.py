@@ -188,6 +188,20 @@ class TestExactCheck:
             eng.consolidate()
             assert eng.match({"a", "b"}).tolist() == [2]
 
+    def test_encoded_block_apis_refuse_exact_check(self):
+        """match_batch/match_stream only see encoded blocks, so they cannot
+        filter Bloom false positives the way match() does: they refuse."""
+        cfg = TagMatchConfig(exact_check=True, batch_timeout_s=None)
+        with TagMatch(cfg) as eng:
+            eng.add_set({"a"}, key=1)
+            eng.consolidate()
+            blocks = eng.encode_queries([{"a", "b"}])
+            with pytest.raises(ValidationError, match="exact_check"):
+                eng.match_batch(blocks)
+            with pytest.raises(ValidationError, match="exact_check"):
+                eng.match_stream(blocks)
+            assert eng.match({"a", "b"}).tolist() == [1]
+
 
 class TestMultiGpu:
     @pytest.mark.parametrize("replicate", [True, False])

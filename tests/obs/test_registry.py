@@ -1,6 +1,8 @@
 """Registry primitives: counters, histograms, sliding rate, collectors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -42,8 +44,39 @@ def test_histogram_overflow_bucket_and_max():
     snap = h.snapshot()
     assert snap["buckets"]["overflow"] == 1
     assert snap["max_s"] == 100.0
+    # A lone overflow sample: the clamp to the observed range is exact.
+    assert h.quantile(0.99) == 100.0
+    h.observe(0.5)
     # Overflow quantile reports the last finite bound, never invents one.
     assert h.quantile(0.99) == 2.0
+
+
+def test_histogram_quantiles_stay_within_observed_range():
+    h = Histogram()
+    for _ in range(3):
+        h.observe(0.2)
+    # The winning bucket is (0.1, 0.25]; interpolation alone reads
+    # p99 = 0.2485 s, past every observation.
+    assert h.quantile(0.99) == 0.2
+    assert h.quantile(0.01) == 0.2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(min_value=0.0, max_value=20.0, allow_nan=False), min_size=1, max_size=50
+    ),
+    qs=st.lists(
+        st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=2, max_size=6
+    ),
+)
+def test_histogram_quantiles_monotone_and_within_observed_range(values, qs):
+    h = Histogram()
+    for v in values:
+        h.observe(v)
+    estimates = [h.quantile(q) for q in sorted(qs)]
+    assert estimates == sorted(estimates)
+    assert all(min(values) <= e <= max(values) for e in estimates)
 
 
 def test_histogram_empty_snapshot_is_zeroes():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.export import render_prometheus
 from repro.obs.trace import STAGES, Span
 from repro.service.metrics import ServiceMetrics
 
@@ -134,3 +135,24 @@ def test_snapshot_keeps_seed_keys_and_adds_device_section():
     ):
         assert key in stats
     assert stats["device"]["0"]["launches"] == 4
+
+
+# ----------------------------------------------------------------------
+# Coalescing: pipeline runs vs ingress batches
+# ----------------------------------------------------------------------
+def test_match_runs_and_run_occupancy_in_stats_and_prometheus():
+    m = ServiceMetrics()
+    assert snap(m)["run_occupancy"] == 0.0
+    for _ in range(3):
+        m.record_batch(4, "full")
+    m.record_run(2)
+    m.record_run(10)
+    stats = snap(m)
+    assert stats["match_runs"] == 2
+    assert stats["run_occupancy"] == 6.0
+    assert stats["batches"] == 3 and stats["batch_occupancy"] == 4.0
+    text = render_prometheus(m.registry)
+    assert "repro_match_runs_total 2" in text
+    assert "repro_match_run_publishes_count 2" in text
+    assert "repro_match_run_publishes_sum 12" in text
+    assert 'repro_match_run_publishes_bucket{le="2.0"} 1' in text
