@@ -65,19 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--max-partition-size", type=int, default=800)
     p_bench.add_argument("--gpus", type=int, default=2)
     p_bench.add_argument("--unique", action="store_true", help="measure match-unique")
-    p_bench.add_argument(
-        "--backend",
-        choices=("inline", "thread", "process"),
-        default="inline",
-        help="where stage-2 kernels execute (see DESIGN.md §6)",
-    )
-    p_bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="backend worker count (pinning it forces a real process pool "
-        "even on single-core hosts)",
-    )
 
     p_match = sub.add_parser("match", help="query a saved snapshot")
     p_match.add_argument("--index", required=True, help="snapshot path (.npz)")
@@ -92,10 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--max-partition-size", type=int, default=800)
     p_serve.add_argument("--gpus", type=int, default=1)
-    p_serve.add_argument(
-        "--backend", choices=("inline", "thread", "process"), default="inline"
-    )
-    p_serve.add_argument("--workers", type=int, default=None)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7311)
     p_serve.add_argument("--batch-size", type=int, default=64, dest="ingress_batch")
@@ -183,8 +166,6 @@ def _build_engine(args: argparse.Namespace) -> tuple[TagMatch, object]:
         num_gpus=args.gpus,
         batch_size=256,
         batch_timeout_s=None,
-        backend=getattr(args, "backend", "inline"),
-        backend_workers=getattr(args, "workers", None),
     )
     engine = TagMatch(config)
     engine.add_signatures(workload.blocks, workload.keys)
@@ -215,7 +196,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     run = engine.match_stream(queries.blocks, unique=args.unique)
     pct = latency_percentiles(run.latencies_s)
     mode = "match-unique" if args.unique else "match"
-    print(f"backend: {engine.backend.name} (workers={engine.backend.workers})")
     print(f"{mode}: {run.throughput_qps:.0f} queries/s over {run.num_queries} queries")
     print(f"output: {run.output_keys} keys ({run.output_keys / run.num_queries:.1f}/query)")
     print(f"latency p50={pct['p50_ms']:.1f}ms p99={pct['p99_ms']:.1f}ms")

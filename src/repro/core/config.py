@@ -73,19 +73,6 @@ class TagMatchConfig:
         Re-check every Bloom match against the original tag sets, making
         results exact at the cost of storing the sets (§3: "the system or
         the application can perform an additional exact subset check").
-    backend:
-        Execution backend for the kernel stage: ``"inline"`` (in the
-        stream thread, the historical behaviour), ``"thread"`` (shared
-        thread pool), or ``"process"`` (shared-memory process pool —
-        real multi-core parallelism, §3.3.2's concurrency on the host).
-    backend_workers:
-        Worker count for the thread/process backends; ``None`` derives
-        it from the host core count.  Setting it explicitly also forces
-        a process pool on single-core hosts (which otherwise degrade to
-        the thread backend with a warning).
-    process_preprocess:
-        Additionally offload the stage-1 ``relevant_matrix`` scans to
-        the process pool (only meaningful with ``backend="process"``).
     cost_model:
         Pricing of simulated device events.
     """
@@ -111,9 +98,6 @@ class TagMatchConfig:
     #: the paper's middle ground of *partial* replication (§3).
     replication_factor: int | None = None
     exact_check: bool = False
-    backend: str = "inline"
-    backend_workers: int | None = None
-    process_preprocess: bool = False
     #: Algorithm 1 pivot rule: "balanced" (the paper's closest-to-50 %
     #: frequency) or "first_unused" (naive ablation).
     pivot_strategy: str = "balanced"
@@ -150,13 +134,6 @@ class TagMatchConfig:
             raise ValidationError(
                 "replication_factor must be in [1, num_gpus] when given"
             )
-        if self.backend not in ("inline", "thread", "process"):
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'inline', 'thread', or 'process'"
-            )
-        if self.backend_workers is not None and self.backend_workers <= 0:
-            raise ValidationError("backend_workers must be positive when given")
         if self.pivot_strategy not in ("balanced", "first_unused"):
             raise ValidationError(
                 f"unknown pivot_strategy {self.pivot_strategy!r}"

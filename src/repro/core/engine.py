@@ -19,14 +19,13 @@ from repro.core.config import TagMatchConfig
 from repro.core.key_table import KeyTable
 from repro.core.partition_table import PartitionTable
 from repro.core.partitioning import PartitioningResult, balanced_partition
-from repro.core.pipeline import MatchPipeline, PipelineRun, grouped_key_lookup
+from repro.core.pipeline import MatchPipeline, PipelineRun
 from repro.core.results import merge_keys
+from repro.core.runner import UnitRunner
 from repro.core.staging import ConsolidatedDatabase, StagingArea
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ConsolidationError, DeviceError, ValidationError
 from repro.gpu.device import Device
-from repro.gpu.kernels import subset_match_kernel
-from repro.parallel.backend import ExecutionBackend, create_backend
 
 __all__ = ["TagMatch", "ConsolidateReport", "MemoryUsage"]
 
@@ -82,7 +81,9 @@ class TagMatch:
         self.key_table: KeyTable | None = None
         self.partition_table: PartitionTable | None = None
         self.tagset_table: TagsetTable | None = None
-        self.backend: ExecutionBackend | None = None
+        #: The unit runner every kernel launch goes through (named
+        #: ``backend`` for the serial replay in ``perfbench/replay.py``).
+        self.backend: UnitRunner | None = None
         self.pipeline: MatchPipeline | None = None
         self.last_consolidate: ConsolidateReport | None = None
         #: Index generation: bumped on every consolidate()/snapshot
@@ -164,7 +165,7 @@ class TagMatch:
         )
         self._build_tables(unique_blocks, partitioning.partitions)
         self.epoch += 1
-        self._install_backend()
+        self._install_pipeline()
         self.last_consolidate = ConsolidateReport(
             num_associations=len(self._database),
             num_unique_sets=unique_blocks.shape[0],
@@ -207,26 +208,16 @@ class TagMatch:
             fuse_partitions_below=self.config.fuse_partitions_below,
         )
 
-    def _install_backend(self) -> None:
-        """(Re)build the execution backend and pipeline after an index
-        rebuild.  The process backend publishes the fresh partitions to
-        shared memory here — once per consolidation, like the one-time
-        host→device upload of the tagset table."""
-        if self.backend is not None:
-            self.backend.close()
-        self.backend = create_backend(
-            self.config, self.tagset_table, self.partition_table
-        )
-        for device in self.devices:
-            device.attach_backend(self.backend)
+    def _install_pipeline(self) -> None:
+        """(Re)build the pipeline and its unit runner after an index rebuild."""
         self.pipeline = MatchPipeline(
             self.partition_table,
             self.tagset_table,
             self.key_table,
             self.config,
-            backend=self.backend,
             epoch=self.epoch,
         )
+        self.backend = self.pipeline.runner
 
     # ------------------------------------------------------------------
     # Snapshots (see repro.core.snapshot)
@@ -265,7 +256,7 @@ class TagMatch:
         )
         self._build_tables(unique_blocks, partitions)
         self.epoch += 1
-        self._install_backend()
+        self._install_pipeline()
         self.last_consolidate = ConsolidateReport(
             num_associations=len(self._database),
             num_unique_sets=unique_blocks.shape[0],
@@ -294,37 +285,26 @@ class TagMatch:
 
     def _match_one(self, tags, unique: bool) -> np.ndarray:
         self._check_consolidated()
-        query = self.encode(tags)
         tag_set = frozenset(tags) if self._store_tags else None
+        return self._match_row(self.encode(tags), unique, tag_set)
+
+    def _match_row(
+        self, query: np.ndarray, unique: bool, tag_set: frozenset | None = None
+    ) -> np.ndarray:
+        """Match one encoded query, one kernel launch per relevant unit.
+
+        With ``tag_set`` (``exact_check`` engines) Bloom false positives
+        are dropped against the stored original sets.
+        """
         relevant = self.partition_table.relevant_partitions(query)
-        chunks: list[np.ndarray] = []
         batch = query.reshape(1, -1)
+        chunks: list[np.ndarray] = []
         for uid in self.tagset_table.units_for(relevant):
-            residency = self.tagset_table.unit_residency(int(uid))
-            result = subset_match_kernel(
-                residency.sets.array(),
-                residency.ids.array(),
-                batch,
-                thread_block_size=self.config.thread_block_size,
-                prefilter=self.config.prefilter,
-                cost_model=residency.device.cost_model,
-                clock=residency.device.clock,
-                prefixes=residency.prefixes.array(),
-                block_offsets=residency.block_offsets.array(),
-                member_commons=residency.commons.array(),
-                member_of_block=residency.member_of_block.array(),
-                coarse=self.config.coarse_prefilter,
-            )
-            set_ids = result.set_ids.astype(np.int64)
-            if self._store_tags and set_ids.size:
+            set_ids = self.backend.launch(int(uid), batch).set_ids.astype(np.int64)
+            if tag_set is not None and set_ids.size:
                 set_ids = self._exact_filter(set_ids, tag_set)
             if set_ids.size:
-                # Single-query batch: every pair belongs to query 0, so
-                # this takes grouped_key_lookup's single-group fast path.
-                for _, keys in grouped_key_lookup(
-                    np.zeros(set_ids.size, dtype=np.uint8), set_ids, self.key_table
-                ):
-                    chunks.append(keys)
+                chunks.append(self.key_table.keys_of_many(set_ids))
         return merge_keys(chunks, unique)
 
     def _exact_filter(self, set_ids: np.ndarray, query_tags: frozenset) -> np.ndarray:
@@ -343,31 +323,7 @@ class TagMatch:
         baseline.  ``query_blocks`` is an ``(n, blocks)`` array.
         """
         self._check_encoded_ok("match_batch")
-        out: list[np.ndarray] = []
-        for row in query_blocks:
-            relevant = self.partition_table.relevant_partitions(row)
-            chunks: list[np.ndarray] = []
-            batch = row.reshape(1, -1)
-            for uid in self.tagset_table.units_for(relevant):
-                residency = self.tagset_table.unit_residency(int(uid))
-                result = subset_match_kernel(
-                    residency.sets.array(),
-                    residency.ids.array(),
-                    batch,
-                    thread_block_size=self.config.thread_block_size,
-                    prefilter=self.config.prefilter,
-                    prefixes=residency.prefixes.array(),
-                    block_offsets=residency.block_offsets.array(),
-                    member_commons=residency.commons.array(),
-                    member_of_block=residency.member_of_block.array(),
-                    coarse=self.config.coarse_prefilter,
-                )
-                if result.set_ids.size:
-                    chunks.append(
-                        self.key_table.keys_of_many(result.set_ids.astype(np.int64))
-                    )
-            out.append(merge_keys(chunks, unique))
-        return out
+        return [self._match_row(row, unique) for row in query_blocks]
 
     def match_stream(
         self,
@@ -451,9 +407,6 @@ class TagMatch:
         if self._closed:
             return
         self._closed = True
-        if self.backend is not None:
-            self.backend.close()
-            self.backend = None
         if self.tagset_table is not None:
             self.tagset_table.free()
         for device in self.devices:

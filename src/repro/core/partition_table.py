@@ -120,15 +120,6 @@ class PartitionTable:
         return containment_matrix(self._dense_masks, queries).T
 
     @property
-    def dense_masks(self) -> np.ndarray:
-        """The compact ``(num_partitions, num_words)`` mask matrix.
-
-        Exposed for execution backends that replicate the stage-1 scan
-        in worker processes (the matrix is tiny: one row per partition).
-        """
-        return self._dense_masks
-
-    @property
     def nbytes(self) -> int:
         """Host memory of the table (small: one mask row per partition)."""
         total = self.always_relevant.nbytes

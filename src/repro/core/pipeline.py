@@ -29,13 +29,13 @@ from repro.core.config import TagMatchConfig
 from repro.core.key_table import KeyTable
 from repro.core.partition_table import PartitionTable
 from repro.core.results import QueryState
+from repro.core.runner import UnitRunner
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ReproError
 from repro.gpu.doublebuffer import CycleResult, DoubleBufferedResults
 from repro.obs import trace
 from repro.gpu.packing import unpack_results
 from repro.gpu.stream import Stream
-from repro.parallel.backend import ExecutionBackend, InlineBackend, KernelParams
 
 __all__ = ["MatchPipeline", "PipelineRun", "PipelineStats", "grouped_key_lookup"]
 
@@ -50,10 +50,10 @@ def grouped_key_lookup(
     ``q_ids``/``set_ids`` are the parallel unpacked ``(q, s)`` pair
     arrays of one kernel invocation; returns ``(local_q, keys)`` groups.
     Two fast paths avoid the sort-and-split machinery on the common
-    shapes: a batch whose pairs all belong to one query (every
-    single-query ``match`` call, and any one-hot batch) skips grouping
-    entirely, and pairs already sorted by query id (kernels emit blocks
-    in query order more often than not) skip the argsort.
+    shapes: a batch whose pairs all belong to one query (any one-hot
+    batch) skips grouping entirely, and pairs already sorted by query id
+    (kernels emit blocks in query order more often than not) skip the
+    argsort.
     """
     if q_ids.size == 0:
         return []
@@ -158,7 +158,6 @@ class MatchPipeline:
         tagset_table: TagsetTable,
         key_table: KeyTable,
         config: TagMatchConfig,
-        backend: ExecutionBackend | None = None,
         epoch: int = 0,
     ) -> None:
         self.partition_table = partition_table
@@ -168,14 +167,9 @@ class MatchPipeline:
         #: Index generation of the tables this pipeline serves (see
         #: :attr:`PipelineRun.epoch`).
         self.epoch = epoch
-        #: Where stage-2 kernels execute; the engine passes the backend
-        #: selected by ``config.backend``, direct constructions default
-        #: to inline (the historical behaviour).
-        self.backend = (
-            backend
-            if backend is not None
-            else InlineBackend(tagset_table, KernelParams.from_config(config))
-        )
+        #: Launches the stage-2 kernels; the engine's synchronous paths
+        #: share it.
+        self.runner = UnitRunner(tagset_table, config)
         #: Per-lookup-thread unpack scratch (see :meth:`_unpack_scratch`).
         self._tls = threading.local()
 
@@ -240,7 +234,7 @@ class MatchPipeline:
                 return db
 
         # ---------------- stage 2: GPU dispatch ----------------
-        backend = self.backend
+        runner = self.runner
 
         memoize = self.config.query_memo_size > 0
 
@@ -264,14 +258,10 @@ class MatchPipeline:
             def copy_in_kernel_and_push():
                 # The copy-in / kernel / result-push sequence of §3.3.2,
                 # submitted as one FIFO unit on the acquired stream.  The
-                # kernel itself runs wherever the execution backend puts
-                # it (inline / thread pool / shared-memory process pool);
-                # the stream op holds the in-flight slot until the packed
-                # results are back, like a CPU thread awaiting its CUDA
-                # stream.
+                # runner charges the simulated kernel time to the device.
                 qbuf = device.htod(queries, label="query-batch")
                 kernel_start = time.perf_counter()
-                result = backend.run_kernel(
+                result = runner.run_kernel(
                     unit_id,
                     qbuf.array(),
                     residency=residency,
@@ -279,9 +269,6 @@ class MatchPipeline:
                 )
                 kernel_wall = time.perf_counter() - kernel_start
                 qbuf.free()
-                # Simulated device time is charged here, backend-agnostic:
-                # worker processes cannot reach this device's clock.
-                device.clock.add_kernel(result.simulated_time_s)
                 stats.record_kernel(
                     result.num_pairs, result.simulated_time_s, kernel_wall
                 )
@@ -305,11 +292,8 @@ class MatchPipeline:
                 with trace.span("pre_process", queries=int(chunk.size)):
                     rows = query_blocks[chunk]
                     # Vectorized Algorithm 2 over the whole chunk: one
-                    # dense scan of the compact mask matrix, optionally
-                    # offloaded to the execution backend's worker pool.
-                    matrix = backend.relevant_matrix(rows)
-                    if matrix is None:
-                        matrix = self.partition_table.relevant_matrix(rows)
+                    # dense scan of the compact mask matrix.
+                    matrix = self.partition_table.relevant_matrix(rows)
                     if fused:
                         # Collapse partition columns to dispatch units: a
                         # unit is relevant when any member partition is.

@@ -285,25 +285,6 @@ class TagsetTable:
             return np.empty(0, dtype=np.int64)
         return np.unique(self.unit_of_partition[pids])
 
-    def host_unit_arrays(
-        self,
-    ) -> list[
-        tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ]:
-        """Host views of every unit's ``(sets, ids, prefixes,
-        block_offsets, commons, member_of_block)``.
-
-        Used by the process execution backend to publish the consolidated
-        units into shared memory exactly once — the host-side analogue of
-        this table's one-time device upload.  Views come from the first
-        residency copy; they stay valid until :meth:`free`.
-        """
-        out = []
-        for homes in self._residency:
-            home = homes[0]
-            out.append(tuple(buffer.array() for buffer in home.buffers()))
-        return out
-
     @property
     def gpu_bytes(self) -> int:
         """Total device memory held by the table (Figure 9's GPU bars)."""

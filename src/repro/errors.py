@@ -38,12 +38,3 @@ class StreamError(DeviceError):
 
 class WorkloadError(ReproError):
     """Workload generation was asked for something inconsistent."""
-
-
-class BackendError(ReproError):
-    """An execution backend (thread/process pool) failed.
-
-    Raised when the shared-memory store cannot be created, when a worker
-    pool cannot be spawned or does not come up healthy, or when a
-    submitted task is lost past the pool's respawn/resubmit recovery.
-    """

@@ -61,9 +61,6 @@ class Device:
             self._available.put(stream)
         self._closed = False
         self._lock = threading.Lock()
-        #: Execution backend the streams dispatch kernel work to (set by
-        #: the engine at consolidation; ``None`` means inline execution).
-        self.backend = None
 
     # ------------------------------------------------------------------
     # Memory
@@ -168,22 +165,6 @@ class Device:
             if not stream.closed:
                 stream.synchronize()
 
-    # ------------------------------------------------------------------
-    # Execution backend
-    # ------------------------------------------------------------------
-    def attach_backend(self, backend) -> None:
-        """Route this device's kernel work through an execution backend.
-
-        Stream ops submitted by the pipeline call ``backend.run_kernel``
-        instead of executing the kernel inline (§3.3.2's "CPU thread
-        acquires a stream, submits the sequence, moves on" — with the
-        compute itself now free to land on another core).
-        """
-        self.backend = backend
-
-    def detach_backend(self) -> None:
-        self.backend = None
-
     def stream_busy_s(self) -> float:
         """Total wall time streams spent executing ops (utilisation)."""
         return sum(stream.busy_s for stream in self.streams)
@@ -197,7 +178,6 @@ class Device:
             if self._closed:
                 return
             self._closed = True
-        self.backend = None
         for stream in self.streams:
             stream.close()
 

@@ -107,8 +107,8 @@ class ResultArena:
     """Growable preallocated output buffers for kernel invocations.
 
     One arena is owned by one serial execution context — a stream (whose
-    FIFO guarantees at most one kernel in flight), a pool worker process,
-    or a lookup thread — and reused across invocations, so the steady
+    FIFO guarantees at most one kernel in flight) or a lookup thread —
+    and reused across invocations, so the steady
     state allocates nothing: the per-block match pairs are written
     straight into the ``query_ids``/``set_ids`` arrays, boolean scratch
     matrices back the containment calls, and :meth:`pack` emits the

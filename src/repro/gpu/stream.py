@@ -69,9 +69,8 @@ class Stream:
         self._closed = False
         self._lock = threading.Lock()
         #: Occupancy counters: ops submitted/finished and wall time spent
-        #: executing them.  With an offloading backend ``busy_s`` is the
-        #: time this stream's in-flight slot was held by kernel work —
-        #: the host analogue of per-stream GPU utilisation.
+        #: executing them — the host analogue of per-stream GPU
+        #: utilisation.
         self.ops_enqueued = 0
         self.ops_completed = 0
         self.busy_s = 0.0

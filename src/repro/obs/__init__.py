@@ -4,7 +4,7 @@ The layer every execution path reports into (DESIGN.md §11):
 
 * :mod:`repro.obs.trace` — low-overhead span tracer with bounded ring
   buffers; wired into the pipeline stage boundaries, kernel launches,
-  device transfers, and pool workers.
+  and device transfers.
 * :mod:`repro.obs.registry` — counters / gauges / fixed-bucket
   histograms (p50/p90/p99 without raw samples) plus the sliding-window
   rate estimator.

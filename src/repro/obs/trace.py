@@ -16,12 +16,6 @@ check plus one shared no-op context manager — no allocation, no clock
 read.  The enabled path is two ``perf_counter`` calls and one locked
 ring append per span; ``bench_obs_overhead.py`` pins the end-to-end cost
 below 5 % of pipeline throughput.
-
-Process-pool workers record into their *own* process-local tracer (this
-module is re-imported in the worker); the pool's pipe protocol ships
-each task's spans back with its result and the collector merges them
-into the host tracer (see :mod:`repro.parallel.pool`), so per-stage
-accounting spans process boundaries.
 """
 
 from __future__ import annotations
@@ -41,7 +35,6 @@ __all__ = [
     "enable",
     "disable",
     "is_enabled",
-    "merge",
     "drain",
     "since",
     "recent",
@@ -108,8 +101,8 @@ _NOOP = _NoopSpan()
 class Tracer:
     """Bounded ring buffer of :class:`Span` records.
 
-    Appends are serialized by a lock (they come from pipeline threads,
-    stream workers, and the pool collector concurrently); readers get
+    Appends are serialized by a lock (they come from pipeline and
+    stream worker threads concurrently); readers get
     consistent copies.  The ring drops the oldest spans past
     ``capacity`` — telemetry is best-effort recent history, never an
     unbounded log.
@@ -167,22 +160,6 @@ class Tracer:
             self._ring.append(span_)
             self._count += 1
 
-    def merge(self, spans) -> None:
-        """Append spans recorded elsewhere (e.g. a pool worker).
-
-        Accepts :class:`Span` tuples or plain ``(name, start, dur,
-        attrs)`` sequences as they come off a pipe.
-        """
-        if not self._enabled:
-            return
-        with self._lock:
-            for item in spans:
-                name, start_s, duration_s, attrs = item
-                self._ring.append(
-                    Span(str(name), float(start_s), float(duration_s), dict(attrs))
-                )
-                self._count += 1
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -192,7 +169,7 @@ class Tracer:
         return self._count
 
     def drain(self) -> list[Span]:
-        """Take every buffered span and clear the ring (worker export)."""
+        """Take every buffered span and clear the ring."""
         with self._lock:
             spans = list(self._ring)
             self._ring.clear()
@@ -263,7 +240,6 @@ record = TRACER.record
 enable = TRACER.enable
 disable = TRACER.disable
 is_enabled = TRACER.is_enabled
-merge = TRACER.merge
 drain = TRACER.drain
 since = TRACER.since
 recent = TRACER.recent

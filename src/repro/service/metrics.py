@@ -14,9 +14,10 @@ façade over one :class:`repro.obs.registry.Registry`:
   window — the seed divided lifetime publishes by lifetime uptime, so a
   server that idled overnight reported a throughput near zero forever
   (the old number survives as ``lifetime_qps``),
-* pipeline spans ingested via :meth:`ingest_spans` become per-stage
+* pipeline spans ingested via :meth:`ingest_trace` become per-stage
   ``repro_stage_seconds{stage=...}`` histograms — the paper's §4.3 stage
-  breakdown, live,
+  breakdown, live; spans the tracer ring overwrote before they were
+  ingested are counted in ``trace_dropped_spans``,
 * the plain attribute counters (``subscribes``, ``overloads``, …) are
   mirrored into registry counters by a collector at render time, so the
   Prometheus endpoint and the ``stats`` verb can never disagree.
@@ -28,7 +29,7 @@ import time
 from typing import Any, Callable, Iterable
 
 from repro.obs.registry import Histogram, Registry, SlidingRate
-from repro.obs.trace import STAGES, Span
+from repro.obs.trace import STAGES, Span, Tracer
 
 __all__ = ["ServiceMetrics"]
 
@@ -44,6 +45,7 @@ _COUNTER_ATTRS = (
     "batched_queries",
     "match_runs",
     "reconsolidations",
+    "trace_dropped_spans",
 )
 
 #: Bucket bounds of the publishes-per-run histogram: powers of two up
@@ -77,6 +79,7 @@ class ServiceMetrics:
         self.match_runs = 0
         self.run_queries = 0
         self.reconsolidations = 0
+        self.trace_dropped_spans = 0
         self._rate = SlidingRate(rate_window_s, clock=clock)
         self.latency = self.registry.histogram("repro_publish_latency_seconds")
         self.run_size = self.registry.histogram(
@@ -106,6 +109,18 @@ class ServiceMetrics:
         self.publishes += 1
         self._rate.record()
         self.latency.observe(latency_s)
+
+    def ingest_trace(self, tracer: Tracer, cursor: int) -> int:
+        """Ingest the spans ``tracer`` recorded after ``cursor``.
+
+        Returns the new cursor.  Spans the ring overwrote since
+        ``cursor`` are counted in ``trace_dropped_spans``, so ingested
+        plus dropped always equals recorded.
+        """
+        new_cursor, spans = tracer.since(cursor)
+        self.trace_dropped_spans += max(0, new_cursor - cursor - len(spans))
+        self.ingest_spans(spans)
+        return new_cursor
 
     def ingest_spans(self, spans: Iterable[Span]) -> None:
         """Feed tracer spans into the per-stage latency histograms."""
@@ -201,6 +216,8 @@ class ServiceMetrics:
             "epoch": epoch,
             "delta_size": delta_size,
             "reconsolidations": self.reconsolidations,
+            #: Spans lost to tracer ring wrap between two ingests.
+            "trace_dropped_spans": self.trace_dropped_spans,
             "inflight": inflight,
             "connections": connections,
             #: Duplicate-query memo hit/miss counters; ``None`` when the

@@ -549,11 +549,12 @@ class MatchServer:
 
         Lazy by design: matcher threads only append to the tracer ring;
         the histogram updates happen here, on the introspection path,
-        so the hot path never pays for bucketing.
+        so the hot path never pays for bucketing.  Spans the ring
+        overwrote in between are counted, not silently lost.
         """
-        self._trace_cursor, spans = trace.since(self._trace_cursor)
-        if spans:
-            self.metrics.ingest_spans(spans)
+        self._trace_cursor = self.metrics.ingest_trace(
+            trace.TRACER, self._trace_cursor
+        )
 
     def _collect_gauges(self) -> None:
         """Registry collector: late-bound server state, read at render."""

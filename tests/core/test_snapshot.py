@@ -1,6 +1,5 @@
 """Tests for index persistence (save/load snapshots)."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import TagMatchConfig

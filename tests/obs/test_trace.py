@@ -61,13 +61,6 @@ def test_since_reports_evicted_spans_best_effort(tracer):
     assert cursor == 100
 
 
-def test_merge_accepts_tuples_from_pipe_protocol(tracer):
-    tracer.merge([("kernel", 1.0, 0.5, {"worker": 3})])
-    (span,) = tracer.drain()
-    assert isinstance(span, Span)
-    assert span.attrs["worker"] == 3
-
-
 def test_span_records_even_when_body_raises(tracer):
     with pytest.raises(ValueError):
         with tracer.span("kernel"):

@@ -1,9 +1,11 @@
 """ServiceMetrics: windowed qps (PR 5 regression), stages, registry sync."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.export import render_prometheus
-from repro.obs.trace import STAGES, Span
+from repro.obs.trace import STAGES, Span, Tracer
 from repro.service.metrics import ServiceMetrics
 
 
@@ -156,3 +158,40 @@ def test_match_runs_and_run_occupancy_in_stats_and_prometheus():
     assert "repro_match_run_publishes_count 2" in text
     assert "repro_match_run_publishes_sum 12" in text
     assert 'repro_match_run_publishes_bucket{le="2.0"} 1' in text
+
+
+# ----------------------------------------------------------------------
+# Span loss is counted, not silent
+# ----------------------------------------------------------------------
+def ingested(metrics) -> int:
+    return sum(stage["count"] for stage in metrics.stage_snapshot().values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    capacity=st.integers(1, 8),
+    steps=st.lists(st.integers(0, 20), min_size=1, max_size=12),
+)
+def test_ingested_plus_dropped_equals_recorded(capacity, steps):
+    """Each step records that many spans, then ingests: whatever the ring
+    overwrote in between shows up in ``trace_dropped_spans``."""
+    tracer = Tracer(capacity=capacity, enabled=True)
+    m = ServiceMetrics()
+    cursor = recorded = 0
+    for n in steps:
+        for i in range(n):
+            tracer.record(STAGES[i % len(STAGES)], 0.0, 0.001)
+        recorded += n
+        cursor = m.ingest_trace(tracer, cursor)
+        assert ingested(m) + m.trace_dropped_spans == recorded
+    assert m.trace_dropped_spans == sum(max(0, n - capacity) for n in steps)
+
+
+def test_dropped_spans_in_stats_and_prometheus():
+    tracer = Tracer(capacity=2, enabled=True)
+    m = ServiceMetrics()
+    for _ in range(5):
+        tracer.record("kernel", 0.0, 0.001)
+    m.ingest_trace(tracer, 0)
+    assert snap(m)["trace_dropped_spans"] == 3
+    assert "repro_trace_dropped_spans_total 3" in render_prometheus(m.registry)

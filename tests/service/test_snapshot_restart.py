@@ -3,13 +3,12 @@
 The durability acceptance test: a server started from a snapshot,
 mutated live, and shut down with ``snapshot_path`` must restart into
 exactly the state a freshly consolidated engine over the final
-association multiset would have — including with the process backend.
+association multiset would have.
 """
 
 import asyncio
 
 import numpy as np
-import pytest
 
 from repro.core.config import ServiceConfig, TagMatchConfig
 from repro.core.engine import TagMatch
@@ -30,18 +29,12 @@ QUERIES = [
 ]
 
 
-def _engine_config(backend: str) -> TagMatchConfig:
-    return TagMatchConfig(
-        max_partition_size=8,
-        num_gpus=1,
-        batch_timeout_s=None,
-        backend=backend,
-        backend_workers=2 if backend == "process" else None,
-    )
+def _engine_config() -> TagMatchConfig:
+    return TagMatchConfig(max_partition_size=8, num_gpus=1, batch_timeout_s=None)
 
 
-def _build(associations, backend: str) -> TagMatch:
-    engine = TagMatch(_engine_config(backend))
+def _build(associations) -> TagMatch:
+    engine = TagMatch(_engine_config())
     for tags, key in associations:
         engine.add_set(tags, key=key)
     engine.consolidate()
@@ -75,8 +68,7 @@ async def _query_all(client: ServiceClient) -> list:
     return [sorted((await client.publish(q))[0]) for q in QUERIES]
 
 
-@pytest.mark.parametrize("backend", ["inline", "process"])
-def test_snapshot_serve_mutate_restart_round_trip(backend, tmp_path):
+def test_snapshot_serve_mutate_restart_round_trip(tmp_path):
     first = tmp_path / "first.npz"
     final = tmp_path / "final.npz"
 
@@ -102,14 +94,14 @@ def test_snapshot_serve_mutate_restart_round_trip(backend, tmp_path):
         await server.shutdown()
         return restarted
 
-    builder = _build(INITIAL, backend)
+    builder = _build(INITIAL)
     builder.save(str(first))
     builder.close()
 
     reference, live = asyncio.run(serve_and_mutate())
     restarted = asyncio.run(serve_from_restart())
 
-    with _build(reference, backend) as fresh:
+    with _build(reference) as fresh:
         expected = [
             sorted(
                 fresh.match(
@@ -126,7 +118,7 @@ def test_final_snapshot_equals_fresh_engine_database(tmp_path):
     """The folded snapshot's association table is the reference multiset."""
     first = tmp_path / "first.npz"
     final = tmp_path / "final.npz"
-    builder = _build(INITIAL, "inline")
+    builder = _build(INITIAL)
     builder.save(str(first))
     builder.close()
 
@@ -143,7 +135,7 @@ def test_final_snapshot_equals_fresh_engine_database(tmp_path):
     reference = asyncio.run(run())
     restored = TagMatch.load(str(final))
     try:
-        with _build(reference, "inline") as fresh:
+        with _build(reference) as fresh:
             got = sorted(
                 zip(
                     (r.tobytes() for r in restored.database.blocks),
