@@ -49,7 +49,6 @@ ORDER = [
     "ablation_packing",
     "ablation_pivot",
     "extra_classic_families",
-    "kernel_hotpath",
     "service_throughput",
     "obs_overhead",
 ]

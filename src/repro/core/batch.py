@@ -24,8 +24,8 @@ __all__ = ["Batch", "PartitionBatcher", "BatcherSet"]
 class Batch:
     """A full (or flushed) batch of queries bound for one dispatch unit.
 
-    ``partition_id`` is the batcher index — a partition id in the seed
-    layout, a fused dispatch-unit id when partition fusing is on.
+    ``partition_id`` is the batcher index: the id of the dispatch unit
+    (one partition, or a fused run of small ones) the batch runs on.
     """
 
     partition_id: int

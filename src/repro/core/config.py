@@ -44,20 +44,6 @@ class TagMatchConfig:
         Simulated GPU topology.
     thread_block_size, prefilter:
         Kernel shape and the Algorithm 4 pre-filter switch.
-    fuse_partitions_below:
-        Partitions with fewer rows than this are coalesced into fused
-        dispatch units: one kernel launch (and one launch overhead in
-        the cost model) covers several small partitions through a
-        partition-offset table.  ``0`` disables fusing — every partition
-        launches on its own, the seed behaviour.  This is the Figure 7
-        small-partition regime, where per-launch overhead dominates.
-    coarse_prefilter:
-        Hierarchical pre-filtering above Algorithm 4: every partition
-        carries an AND-of-rows coarse summary checked (a) during
-        pre-processing, rejecting the partition with one containment row
-        before it is ever batched, and (b) inside the kernel per fused
-        member, together with each thread block's lexicographic lower
-        bound.  Results are bitwise identical with the filter on or off.
     query_memo_size:
         Duplicate-query memoization.  ``> 0`` canonicalises each GPU
         batch at build time (byte-identical queries are matched once and
@@ -65,10 +51,12 @@ class TagMatchConfig:
         layer's LRU of frozen-index results keyed on
         ``(epoch, signature)`` — repeated firehose publishes skip the
         device entirely.  ``0`` disables both.
-    replicate_tagset_table:
-        ``True`` replicates the tagset table on every GPU (maximal
-        inter-GPU parallelism); ``False`` splits partitions across GPUs,
-        halving memory per device for extremely large tables (§3).
+    replication_factor:
+        Copies of each dispatch unit across the GPUs (§3): ``None``
+        replicates the tagset table on every GPU (maximal inter-GPU
+        parallelism), ``1`` splits it so each unit has a single home
+        (for extremely large tables), and values in between select the
+        paper's middle ground of *partial* replication.
     exact_check:
         Re-check every Bloom match against the original tag sets, making
         results exact at the cost of storing the sets (§3: "the system or
@@ -89,13 +77,7 @@ class TagMatchConfig:
     device_memory: int = DEFAULT_DEVICE_MEMORY
     thread_block_size: int = DEFAULT_THREAD_BLOCK_SIZE
     prefilter: bool = True
-    fuse_partitions_below: int = 0
-    coarse_prefilter: bool = True
     query_memo_size: int = 0
-    replicate_tagset_table: bool = True
-    #: Copies of each partition across the GPUs: ``None`` derives it from
-    #: ``replicate_tagset_table`` (all GPUs or one); an integer selects
-    #: the paper's middle ground of *partial* replication (§3).
     replication_factor: int | None = None
     exact_check: bool = False
     #: Algorithm 1 pivot rule: "balanced" (the paper's closest-to-50 %
@@ -124,8 +106,6 @@ class TagMatchConfig:
             raise ValidationError("streams_per_gpu must be positive")
         if self.thread_block_size <= 0:
             raise ValidationError("thread_block_size must be positive")
-        if self.fuse_partitions_below < 0:
-            raise ValidationError("fuse_partitions_below must be non-negative")
         if self.query_memo_size < 0:
             raise ValidationError("query_memo_size must be non-negative")
         if self.replication_factor is not None and not (

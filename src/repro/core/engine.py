@@ -18,7 +18,7 @@ from repro.bloom.hashing import TagHasher
 from repro.core.config import TagMatchConfig
 from repro.core.key_table import KeyTable
 from repro.core.partition_table import PartitionTable
-from repro.core.partitioning import PartitioningResult, balanced_partition
+from repro.core.partitioning import Partition, PartitioningResult, balanced_partition
 from repro.core.pipeline import MatchPipeline, PipelineRun
 from repro.core.results import merge_keys
 from repro.core.runner import UnitRunner
@@ -175,26 +175,8 @@ class TagMatch:
         return self.last_consolidate
 
     def _build_tables(self, unique_blocks: np.ndarray, partitions) -> None:
-        """(Re)build the partition + tagset tables for a fresh index.
-
-        With ``coarse_prefilter`` on, the partition table indexes the
-        effective mask ``pivot | AND-of-rows`` per partition — the
-        level-1 hierarchical filter that rejects whole partitions during
-        pre-processing with one containment row (exact, because any
-        matching row forces every common bit into the query).
-        """
-        coarse_masks = None
-        if self.config.coarse_prefilter and partitions:
-            num_words = self.config.width // 64
-            coarse_masks = np.zeros((len(partitions), num_words), dtype=np.uint64)
-            for i, partition in enumerate(partitions):
-                if len(partition.indices):
-                    coarse_masks[i] = np.bitwise_and.reduce(
-                        unique_blocks[partition.indices], axis=0
-                    )
-        self.partition_table = PartitionTable(
-            partitions, self.config.width, coarse_masks=coarse_masks
-        )
+        """(Re)build the partition + tagset tables for a fresh index."""
+        self.partition_table = PartitionTable(partitions, self.config.width)
         if self.tagset_table is not None:
             self.tagset_table.free()
         self.tagset_table = TagsetTable(
@@ -202,10 +184,8 @@ class TagMatch:
             partitions,
             self.devices,
             self.config.width,
-            replicate=self.config.replicate_tagset_table,
             thread_block_size=self.config.thread_block_size,
             replication_factor=self.config.replication_factor,
-            fuse_partitions_below=self.config.fuse_partitions_below,
         )
 
     def _install_pipeline(self) -> None:
@@ -235,8 +215,12 @@ class TagMatch:
 
         return load_snapshot(path, config=config)
 
-    def _restore(self, db_blocks, db_keys, partitions) -> None:
-        """Install a snapshot: database + precomputed partition layout."""
+    def _restore(self, db_blocks, db_keys, layout) -> None:
+        """Install a snapshot: database + precomputed partition layout.
+
+        ``layout`` lists each partition's ``(mask, row indices)``; the
+        AND-of-rows summaries are recomputed from the restored rows.
+        """
         start = time.perf_counter()
         self._database = ConsolidatedDatabase(db_blocks, db_keys)
         unique_blocks, inverse = (
@@ -251,6 +235,9 @@ class TagMatch:
         self.key_table = KeyTable.from_grouped(
             inverse, db_keys, unique_blocks.shape[0]
         )
+        partitions = [
+            Partition.of_rows(mask, indices, unique_blocks) for mask, indices in layout
+        ]
         partitioning = PartitioningResult(
             partitions=partitions, elapsed_s=0.0, num_sets=unique_blocks.shape[0]
         )

@@ -29,21 +29,15 @@ __all__ = ["PartitionTable"]
 class PartitionTable:
     """Inverted index from leftmost one-bit position to partition masks.
 
-    ``coarse_masks``, when given, holds one AND-of-rows summary per
-    partition (the level-1 filter of the hierarchical pre-filter).  Every
-    row of a partition contains all of the common bits, so any matching
-    row forces the common mask to be a subset of the query — the index
-    built from ``mask | common`` is therefore still exact, but rejects
-    strictly more irrelevant partitions than the pivot mask alone
-    (``mask ⊆ common`` because the pivot bits appear in every row).
+    Each partition is indexed by :attr:`Partition.filter_mask`, its pivot
+    mask OR-ed with the AND of its rows (level 0 of the hierarchical
+    pre-filter).  Every row of a partition contains all of the common
+    bits, so any matching row forces the common mask to be a subset of
+    the query — the index is therefore still exact, but rejects strictly
+    more irrelevant partitions than the pivot mask alone.
     """
 
-    def __init__(
-        self,
-        partitions: list[Partition],
-        width: int,
-        coarse_masks: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, partitions: list[Partition], width: int) -> None:
         if width <= 0 or width % 64 != 0:
             raise ValidationError("width must be a positive multiple of 64")
         self.width = width
@@ -52,13 +46,7 @@ class PartitionTable:
 
         masks = np.zeros((len(partitions), num_words), dtype=np.uint64)
         for i, partition in enumerate(partitions):
-            masks[i] = partition.mask
-        if coarse_masks is not None:
-            if coarse_masks.shape != masks.shape:
-                raise ValidationError(
-                    "coarse_masks must be one block row per partition"
-                )
-            np.bitwise_or(masks, coarse_masks, out=masks)
+            masks[i] = partition.filter_mask
         #: Dense mask matrix used by the vectorized batch pre-process.
         self._dense_masks = masks
         arr = SignatureArray(masks, width=width)

@@ -37,10 +37,29 @@ __all__ = ["Partition", "PartitioningResult", "balanced_partition"]
 
 @dataclass
 class Partition:
-    """One partition: its defining mask and the rows it contains."""
+    """One partition: its defining mask and the rows it contains.
+
+    ``common`` is the AND of the partition's rows: the bits every row
+    holds, a superset of ``mask`` because the pivot bits appear in every
+    row.  Algorithm 1 records it; a partition known only by its mask
+    leaves it ``None``.
+    """
 
     mask: np.ndarray
     indices: np.ndarray
+    common: np.ndarray | None = None
+
+    @classmethod
+    def of_rows(
+        cls, mask: np.ndarray, indices: np.ndarray, blocks: np.ndarray
+    ) -> "Partition":
+        """The partition of ``blocks[indices]``, its AND-of-rows recorded."""
+        return cls(mask, indices, np.bitwise_and.reduce(blocks[indices], axis=0))
+
+    @property
+    def filter_mask(self) -> np.ndarray:
+        """Bits any matching query must hold: ``mask | common``."""
+        return self.mask if self.common is None else self.mask | self.common
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -131,7 +150,7 @@ def balanced_partition(
             continue
         mask_nonempty = bool(mask.any())
         if size <= max_partition_size and mask_nonempty:
-            partitions.append(Partition(mask=mask, indices=indices))
+            partitions.append(Partition.of_rows(mask, indices, blocks))
             continue
 
         sub = arr.take(indices)
@@ -139,7 +158,7 @@ def balanced_partition(
         if pivot is None:
             # Indivisible: accept as-is (possibly oversized or with an
             # empty mask — see module docstring).
-            partitions.append(Partition(mask=mask, indices=indices))
+            partitions.append(Partition.of_rows(mask, indices, blocks))
             continue
 
         word, offset = divmod(pivot, 64)

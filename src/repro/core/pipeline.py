@@ -204,11 +204,10 @@ class MatchPipeline:
         states: list[QueryState | None] = [None] * n
         stats = PipelineStats()
 
-        # Batches form per dispatch unit: with partition fusing each
-        # batcher covers a whole run of small partitions, so one flush
-        # becomes one fused kernel launch.
+        # Batches form per dispatch unit: a fused unit's batcher covers a
+        # whole run of small partitions, so one flush becomes one fused
+        # kernel launch.
         num_units = self.tagset_table.num_units
-        fused = num_units != self.partition_table.num_partitions
         unit_starts = self.tagset_table.unit_starts
         batchers = BatcherSet(
             num_units,
@@ -294,10 +293,9 @@ class MatchPipeline:
                     # Vectorized Algorithm 2 over the whole chunk: one
                     # dense scan of the compact mask matrix.
                     matrix = self.partition_table.relevant_matrix(rows)
-                    if fused:
-                        # Collapse partition columns to dispatch units: a
-                        # unit is relevant when any member partition is.
-                        matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
+                    # Collapse partition columns to dispatch units: a
+                    # unit is relevant when any member partition is.
+                    matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
                     counts = matrix.sum(axis=1)
                     chunk_states: list[QueryState] = []
                     for local, qi in enumerate(chunk):

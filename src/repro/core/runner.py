@@ -72,7 +72,6 @@ class UnitRunner:
             block_offsets=residency.block_offsets.array(),
             member_commons=residency.commons.array(),
             member_of_block=residency.member_of_block.array(),
-            coarse=config.coarse_prefilter,
             arena=arena,
         )
         device.clock.add_kernel(result.stats.simulated_time_s)

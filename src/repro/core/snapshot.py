@@ -17,7 +17,6 @@ import json
 import numpy as np
 
 from repro.core.config import TagMatchConfig
-from repro.core.partitioning import Partition
 from repro.errors import ValidationError
 
 __all__ = ["save_snapshot", "load_snapshot", "SNAPSHOT_VERSION"]
@@ -37,10 +36,7 @@ _CONFIG_FIELDS = (
     "device_memory",
     "thread_block_size",
     "prefilter",
-    "fuse_partitions_below",
-    "coarse_prefilter",
     "query_memo_size",
-    "replicate_tagset_table",
     "replication_factor",
     "exact_check",
     "pivot_strategy",
@@ -53,7 +49,22 @@ def _config_json(config: TagMatchConfig) -> str:
 
 
 def _config_from_json(raw: str) -> TagMatchConfig:
-    return TagMatchConfig(**json.loads(raw))
+    """Rebuild the stored config, accepting snapshots of older releases.
+
+    Those stored two kernel-plan options that are now fixed (dropped
+    here) and ``replicate_tagset_table``, whose ``False`` is a
+    replication factor of one.  Any other unknown key is an error.
+    """
+    stored = json.loads(raw)
+    stored.pop("fuse_partitions_below", None)
+    stored.pop("coarse_prefilter", None)
+    replicate = stored.pop("replicate_tagset_table", True)
+    if replicate is False and stored.get("replication_factor") is None:
+        stored["replication_factor"] = 1
+    unknown = sorted(set(stored) - set(_CONFIG_FIELDS))
+    if unknown:
+        raise ValidationError(f"unknown snapshot config keys: {unknown}")
+    return TagMatchConfig(**stored)
 
 
 def save_snapshot(engine, path: str) -> None:
@@ -127,15 +138,12 @@ def load_snapshot(path: str, config: TagMatchConfig | None = None):
         index_flat = archive["partition_indices"]
         sizes = archive["partition_sizes"]
 
-    partitions = []
-    offset = 0
-    for i in range(masks.shape[0]):
-        size = int(sizes[i])
-        partitions.append(
-            Partition(mask=masks[i], indices=index_flat[offset : offset + size])
-        )
-        offset += size
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    layout = [
+        (masks[i], index_flat[bounds[i] : bounds[i + 1]])
+        for i in range(masks.shape[0])
+    ]
 
     engine = TagMatch(config)
-    engine._restore(db_blocks, db_keys, partitions)
+    engine._restore(db_blocks, db_keys, layout)
     return engine

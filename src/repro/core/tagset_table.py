@@ -12,15 +12,14 @@ also partially replicate or simply partition an extremely large tagset
 table on multiple GPUs" (§3); both placements are supported here.
 
 Kernel dispatch happens per **dispatch unit**, not per partition: runs of
-consecutive partitions smaller than ``fuse_partitions_below`` rows are
+consecutive partitions smaller than ``_FUSE_BELOW_ROWS`` rows are
 coalesced into one unit, uploaded as a single concatenated array with a
 partition-offset table, and matched by a single fused kernel launch — the
 Figure 7 small-partition regime where per-launch overhead dominates.
 Thread blocks never span a member boundary, so every member keeps its own
 Algorithm 4 prefixes, and each member carries an AND-of-rows coarse
-summary for the hierarchical pre-filter.  With fusing disabled (the
-default) every unit holds exactly one partition and the table behaves
-like the seed.
+summary for the hierarchical pre-filter.  Partitions at or above the
+threshold stay singleton units.
 """
 
 from __future__ import annotations
@@ -37,6 +36,12 @@ from repro.gpu.kernels import block_prefixes_ranges, uniform_block_offsets
 from repro.gpu.memory import DeviceBuffer
 
 __all__ = ["PartitionResidency", "TagsetTable"]
+
+#: Partitions with fewer rows than this are fused with their neighbours
+#: into one dispatch unit: one kernel launch (and one launch overhead in
+#: the cost model) covers the run.  DESIGN.md §10 has the measurements
+#: that fixed this plan.
+_FUSE_BELOW_ROWS = 64
 
 #: Most partitions one fused unit may cover.  Bounds the false-sharing
 #: cost of unit-granular batching: a unit is dispatched when *any*
@@ -73,11 +78,6 @@ class PartitionResidency:
     member_of_block: DeviceBuffer
 
     @property
-    def partition_id(self) -> int:
-        """First member partition (the unit id of an unfused table)."""
-        return int(self.member_pids[0])
-
-    @property
     def num_members(self) -> int:
         return int(self.member_pids.shape[0])
 
@@ -96,23 +96,21 @@ class PartitionResidency:
 
 
 def _plan_units(
-    partitions: list[Partition], fuse_below: int, thread_block_size: int
+    partitions: list[Partition], thread_block_size: int
 ) -> list[tuple[int, int]]:
     """Greedy contiguous grouping of partitions into dispatch units.
 
     Returns ``(start_pid, stop_pid)`` ranges covering all partitions in
-    order.  Partitions at or above the fuse threshold stand alone; runs
+    order.  Partitions at or above ``_FUSE_BELOW_ROWS`` stand alone; runs
     of smaller ones coalesce until the member or row cap is hit.
     """
-    if fuse_below <= 0:
-        return [(pid, pid + 1) for pid in range(len(partitions))]
     row_cap = max(thread_block_size, _FUSE_ROW_CAP_BLOCKS * thread_block_size)
     units: list[tuple[int, int]] = []
     group_start: int | None = None
     group_rows = 0
     for pid, partition in enumerate(partitions):
         rows = len(partition.indices)
-        if rows >= fuse_below:
+        if rows >= _FUSE_BELOW_ROWS:
             if group_start is not None:
                 units.append((group_start, pid))
                 group_start = None
@@ -141,10 +139,8 @@ class TagsetTable:
         partitions: list[Partition],
         devices: list[Device],
         width: int,
-        replicate: bool = True,
         thread_block_size: int = 1024,
         replication_factor: int | None = None,
-        fuse_partitions_below: int = 0,
     ) -> None:
         if not devices:
             raise ValidationError("need at least one device")
@@ -154,19 +150,15 @@ class TagsetTable:
             raise ValidationError("replication_factor out of range")
         self.width = width
         self.devices = devices
-        self.replicate = replicate
-        #: Copies per unit: full replication, a single home, or the
-        #: partial replication middle ground (§3).
+        #: Copies per unit: full replication (``None``), a single home, or
+        #: the partial replication middle ground (§3).
         self.copies = (
-            replication_factor
-            if replication_factor is not None
-            else (len(devices) if replicate else 1)
+            replication_factor if replication_factor is not None else len(devices)
         )
         self.num_sets = blocks.shape[0]
         self.partitions = partitions
-        self.fuse_partitions_below = fuse_partitions_below
 
-        units = _plan_units(partitions, fuse_partitions_below, thread_block_size)
+        units = _plan_units(partitions, thread_block_size)
         #: ``unit_of_partition[pid]`` → dispatch unit holding ``pid``
         #: (nondecreasing: units are contiguous pid ranges).
         self.unit_of_partition = np.zeros(len(partitions), dtype=np.int64)
@@ -267,16 +259,6 @@ class TagsetTable:
             return homes[0]
         self._round_robin = (self._round_robin + 1) % len(homes)
         return homes[self._round_robin]
-
-    def residency(self, partition_id: int) -> PartitionResidency:
-        """The residency of the unit containing ``partition_id``.
-
-        With fusing disabled (the default) every unit is one partition
-        and this is exactly the seed's per-partition lookup.
-        """
-        if not 0 <= partition_id < len(self.partitions):
-            raise ValidationError(f"partition id {partition_id} out of range")
-        return self.unit_residency(int(self.unit_of_partition[partition_id]))
 
     def units_for(self, partition_ids: np.ndarray) -> np.ndarray:
         """Distinct dispatch units covering the given partitions."""

@@ -19,8 +19,8 @@ Three hot-path refinements sit on top of the seed kernel:
   concatenation of several small partitions (each aligned to its own
   thread blocks), charging a single launch overhead where the seed paid
   one per partition (Figure 7's small-partition regime).
-* **Hierarchical pre-filtering** — with ``coarse=True`` each fused
-  member carries an AND-of-rows summary checked with *one*
+* **Hierarchical pre-filtering** — given ``member_commons``, each fused
+  member's AND-of-rows summary is checked with *one*
   ``containment_matrix`` row before any per-thread-block work, and each
   thread block's first (lexicographically minimal) row bounds the block
   from below: a subset of ``q`` is numerically ≤ ``q``, so blocks whose
@@ -287,7 +287,6 @@ def subset_match_kernel(
     block_offsets: np.ndarray | None = None,
     member_commons: np.ndarray | None = None,
     member_of_block: np.ndarray | None = None,
-    coarse: bool = False,
     arena: ResultArena | None = None,
 ) -> KernelResult:
     """Match a batch of queries against one partition (Algorithms 3–4).
@@ -321,15 +320,16 @@ def subset_match_kernel(
         Optional ``(num_thread_blocks + 1,)`` explicit row bounds for the
         thread blocks (fused multi-partition launches).  When omitted the
         blocks are the uniform ``thread_block_size`` chunks.
-    member_commons, member_of_block, coarse:
-        The hierarchical coarse pre-filter.  ``member_commons`` holds one
-        AND-of-rows summary per fused member and ``member_of_block`` maps
-        each thread block to its member; with ``coarse=True`` a member
-        whose common bits are not contained in a query rejects every one
-        of its blocks with a single containment row, and each surviving
-        block is additionally bounded below by its first row in
+    member_commons, member_of_block:
+        The hierarchical coarse pre-filter, run when ``member_commons``
+        is given.  It holds one AND-of-rows summary per fused member and
+        ``member_of_block`` maps each thread block to its member; a
+        member whose common bits are not contained in a query rejects
+        every one of its blocks with a single containment row, and each
+        surviving block is additionally bounded below by its first row in
         bit-string order.  Both checks are necessary conditions, so the
-        match set is bitwise identical with the filter on or off.
+        match set is bitwise identical to plain Algorithm 4's, which is
+        what callers launching on raw partitions get by omitting them.
     arena:
         Optional caller-owned :class:`ResultArena` reused across
         invocations (zero-allocation steady state).  The returned id
@@ -378,8 +378,7 @@ def subset_match_kernel(
     if prefilter:
         if prefixes is None:
             prefixes = block_prefixes_ranges(sets, starts, stops)
-        survive: np.ndarray | None = None
-        if coarse:
+        if member_commons is not None:
             member_surv = None
             if num_members > 1:
                 # Level 1: one containment row per member rejects whole

@@ -311,8 +311,6 @@ def fig5_threads(
     workload: TwitterWorkload,
     thread_counts: tuple[int, ...] = (4, 8, 16, 24, 32, 40, 48),
 ) -> ExperimentResult:
-    from repro.gpu.kernels import subset_match_kernel
-
     engine = build_engine(workload.blocks, workload.keys)
     queries = workload.queries(4096, seed=41)
     blocks = queries.blocks
@@ -324,25 +322,21 @@ def fig5_threads(
         engine.partition_table.relevant_matrix(blocks[lo : lo + 256])
         for lo in range(0, n, 256)
     ]
-    matrix = np.vstack(matrix_parts)
+    # Collapse partition columns to dispatch units, as the pipeline does.
+    matrix = np.logical_or.reduceat(
+        np.vstack(matrix_parts), engine.tagset_table.unit_starts, axis=1
+    )
     t_pre = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     per_query_sets: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for pid in range(matrix.shape[1]):
-        members = np.nonzero(matrix[:, pid])[0]
+    for uid in range(matrix.shape[1]):
+        members = np.nonzero(matrix[:, uid])[0]
         if members.size == 0:
             continue
-        residency = engine.tagset_table.residency(pid)
         for lo in range(0, members.size, 256):
             chunk = members[lo : lo + 256]
-            result = subset_match_kernel(
-                residency.sets.array(),
-                residency.ids.array(),
-                blocks[chunk],
-                thread_block_size=engine.config.thread_block_size,
-                prefixes=residency.prefixes.array(),
-            )
+            result = engine.backend.launch(uid, blocks[chunk])
             for local, sid in zip(result.query_ids, result.set_ids):
                 per_query_sets[chunk[local]].append(sid)
     t_kernel = time.perf_counter() - t0

@@ -204,11 +204,11 @@ class TestExactCheck:
 
 
 class TestMultiGpu:
-    @pytest.mark.parametrize("replicate", [True, False])
-    def test_results_identical_across_placements(self, replicate):
+    @pytest.mark.parametrize("factor", [None, 1])
+    def test_results_identical_across_placements(self, factor):
         cfg = TagMatchConfig(
             num_gpus=2,
-            replicate_tagset_table=replicate,
+            replication_factor=factor,
             max_partition_size=4,
             batch_timeout_s=None,
         )
@@ -220,9 +220,9 @@ class TestMultiGpu:
             assert got == [3, 4]
 
     def test_replication_doubles_gpu_memory(self):
-        def build(replicate):
+        def build(factor):
             cfg = TagMatchConfig(
-                num_gpus=2, replicate_tagset_table=replicate, batch_timeout_s=None
+                num_gpus=2, replication_factor=factor, batch_timeout_s=None
             )
             eng = TagMatch(cfg)
             for i in range(50):
@@ -232,7 +232,7 @@ class TestMultiGpu:
             eng.close()
             return usage
 
-        assert build(True) == pytest.approx(2 * build(False), rel=0.05)
+        assert build(None) == pytest.approx(2 * build(1), rel=0.05)
 
     def test_close_is_idempotent(self, engine):
         build_small(engine)

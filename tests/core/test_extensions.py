@@ -61,7 +61,7 @@ class TestPartialReplication:
     def test_factor_between_one_and_all(self, workload):
         full = self.make_engine(workload, num_gpus=4)
         partial = self.make_engine(workload, num_gpus=4, replication_factor=2)
-        single = self.make_engine(workload, num_gpus=4, replicate_tagset_table=False)
+        single = self.make_engine(workload, num_gpus=4, replication_factor=1)
         try:
             f = full.memory_usage().gpu_tagset_bytes
             p = partial.memory_usage().gpu_tagset_bytes

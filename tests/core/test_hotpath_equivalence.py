@@ -1,11 +1,12 @@
-"""Result-equivalence of the kernel hot-path optimisations.
+"""Result-equivalence of the kernel hot path.
 
-Fused multi-partition launches, the hierarchical coarse pre-filter, and
-duplicate-query memoization are pure execution-plan changes: each must
-produce bitwise-identical match results with the optimisation on or off,
-independently and in combination.  The properties here cross-check every
-knob against the all-off baseline through both the synchronous path
-(``match_batch``) and the four-stage pipeline (``match_stream``).
+Every engine fuses small partitions into shared dispatch units and runs
+the hierarchical coarse pre-filter; both are execution-plan choices, so
+``match``, ``match_batch`` and ``match_stream`` must return exactly what
+a brute-force scan over the same signatures returns.  Duplicate-query
+memoization is still a knob: it must produce bitwise-identical match
+results on or off, through both the synchronous path (``match_batch``)
+and the four-stage pipeline (``match_stream``).
 """
 
 import numpy as np
@@ -13,50 +14,51 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom.array import SignatureArray
-from repro.bloom.filter import BloomSignature
+from repro.baselines.linear_scan import LinearScanMatcher
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
 
-WIDTH = 192
-
 bit_lists = st.lists(st.integers(0, 30), min_size=1, max_size=5)
 
-#: Each variant flips exactly one optimisation on (plus the kitchen sink).
-VARIANTS = {
-    "fused": dict(fuse_partitions_below=64),
-    "coarse": dict(coarse_prefilter=True),
-    "memo": dict(query_memo_size=64),
-    "all": dict(fuse_partitions_below=64, coarse_prefilter=True, query_memo_size=64),
-}
 
-BASELINE = dict(fuse_partitions_below=0, coarse_prefilter=False, query_memo_size=0)
+def tags_of(bits):
+    return frozenset(f"t{b}" for b in bits)
 
 
-def encode(rows):
-    return SignatureArray.from_signatures(
-        [BloomSignature.from_bits(r, width=WIDTH) for r in rows]
-    ).blocks
-
-
-def build_engine(blocks, keys, knobs) -> TagMatch:
+def build_engine(rows, keys, **knobs) -> TagMatch:
     config = TagMatchConfig(
-        width=WIDTH,
         max_partition_size=4,
         batch_size=8,
         batch_timeout_s=None,
         num_threads=2,
         thread_block_size=3,
-        **{**BASELINE, **knobs},
+        **knobs,
     )
     engine = TagMatch(config)
-    engine.add_signatures(blocks, keys)
+    for tags, key in zip(rows, keys):
+        engine.add_set(tags, int(key))
     engine.consolidate()
     return engine
 
 
 def canonical(results):
     return [sorted(r.tolist()) for r in results]
+
+
+def oracle(engine, rows, keys, queries):
+    scan = LinearScanMatcher()
+    scan.build(np.stack([engine.encode(tags) for tags in rows]), np.asarray(keys))
+    return canonical(scan.match_many(engine.encode_queries(queries)))
+
+
+def every_path(engine, queries):
+    """Each public matching path's answers, keyed by path name."""
+    blocks = engine.encode_queries(queries)
+    return {
+        "match": canonical([engine.match(tags) for tags in queries]),
+        "match_batch": canonical(engine.match_batch(blocks)),
+        "match_stream": canonical(engine.match_stream(blocks).results),
+    }
 
 
 @settings(max_examples=12, deadline=None)
@@ -66,31 +68,33 @@ def canonical(results):
     data=st.data(),
 )
 def test_each_optimisation_matches_baseline(rows, queries, data):
-    blocks = encode(rows)
+    rows = [tags_of(r) for r in rows]
     keys = np.arange(len(rows), dtype=np.int64)
     # A duplicate-heavy query stream: repeat rows so both the batch
     # canonicalisation and the fused batchers see realistic input.
     dup_idx = data.draw(
         st.lists(st.integers(0, len(queries) - 1), min_size=0, max_size=6)
     )
-    qblocks = encode(queries + [queries[i] for i in dup_idx])
+    queries = [tags_of(q) for q in queries + [queries[i] for i in dup_idx]]
 
-    baseline = build_engine(blocks, keys, {})
+    plain = build_engine(rows, keys)
     try:
-        expected_batch = canonical(baseline.match_batch(qblocks))
-        expected_stream = canonical(baseline.match_stream(qblocks).results)
-        assert expected_batch == expected_stream
-        for name, knobs in VARIANTS.items():
-            engine = build_engine(blocks, keys, knobs)
-            try:
-                got_batch = canonical(engine.match_batch(qblocks))
-                got_stream = canonical(engine.match_stream(qblocks).results)
-                assert got_batch == expected_batch, name
-                assert got_stream == expected_stream, name
-            finally:
-                engine.close()
+        expected = oracle(plain, rows, keys, queries)
+        for path, got in every_path(plain, queries).items():
+            assert got == expected, path
+        blocks = plain.encode_queries(queries)
+        memo = build_engine(rows, keys, query_memo_size=64)
+        try:
+            assert canonical(memo.match_batch(blocks)) == canonical(
+                plain.match_batch(blocks)
+            )
+            assert canonical(memo.match_stream(blocks).results) == canonical(
+                plain.match_stream(blocks).results
+            )
+        finally:
+            memo.close()
     finally:
-        baseline.close()
+        plain.close()
 
 
 @settings(max_examples=10, deadline=None)
@@ -100,60 +104,64 @@ def test_each_optimisation_matches_baseline(rows, queries, data):
 )
 def test_single_query_path_matches_baseline(rows, query):
     """``match()`` walks dispatch units directly (no pipeline); it must
-    agree across every variant too."""
-    blocks = encode(rows)
+    agree with the scan with memoization on and off."""
+    rows = [tags_of(r) for r in rows]
     keys = np.arange(len(rows), dtype=np.int64)
-    qrow = encode([query])
-    engines = {"base": build_engine(blocks, keys, {})}
-    try:
-        for name, knobs in VARIANTS.items():
-            engines[name] = build_engine(blocks, keys, knobs)
-        results = {
-            name: canonical(engine.match_batch(qrow))[0]
-            for name, engine in engines.items()
-        }
-        for name in VARIANTS:
-            assert results[name] == results["base"], name
-    finally:
-        for engine in engines.values():
+    qtags = tags_of(query)
+    for knobs in ({}, dict(query_memo_size=64)):
+        engine = build_engine(rows, keys, **knobs)
+        try:
+            expected = oracle(engine, rows, keys, [qtags])[0]
+            assert sorted(engine.match(qtags).tolist()) == expected
+            assert engine.match_unique(qtags).tolist() == sorted(set(expected))
+        finally:
             engine.close()
 
 
 def test_fused_table_reduces_launches():
-    """With many small partitions one fused launch covers several of
-    them: the device clock counts strictly fewer kernel launches, and
-    results stay identical."""
-    rng = np.random.default_rng(7)
-    rows = [sorted(rng.choice(30, size=int(rng.integers(1, 4)), replace=False).tolist())
-            for _ in range(80)]
-    blocks = np.unique(encode(rows), axis=0)
-    keys = np.arange(len(blocks), dtype=np.int64)
-    queries = encode(
-        [sorted(rng.choice(30, size=6, replace=False).tolist()) for _ in range(20)]
-    )
+    """A table holding both fused (multi-member) and singleton units
+    answers every path like the scan, and launches fewer kernels than
+    there are (query, relevant partition) pairs."""
+    rng = np.random.default_rng(0)
+    rows = [
+        tags_of(rng.choice(40, size=int(rng.integers(1, 5)), replace=False))
+        for _ in range(600)
+    ]
+    keys = np.arange(len(rows), dtype=np.int64)
+    queries = [tags_of(rng.choice(40, size=12, replace=False)) for _ in range(30)]
+    config = TagMatchConfig(max_partition_size=100, batch_timeout_s=None, num_threads=2)
+    with TagMatch(config) as engine:
+        for tags, key in zip(rows, keys):
+            engine.add_set(tags, int(key))
+        engine.consolidate()
+        table = engine.tagset_table
+        members = [table.unit_residency(u).num_members for u in range(table.num_units)]
+        assert max(members) > 1 and min(members) == 1
 
-    plain = build_engine(blocks, keys, {})
-    fused = build_engine(blocks, keys, dict(fuse_partitions_below=64))
-    try:
-        assert fused.tagset_table.num_units < plain.tagset_table.num_units
-        expected = canonical(plain.match_stream(queries).results)
-        got = canonical(fused.match_stream(queries).results)
-        assert got == expected
-        plain_launches = sum(d.clock.launches for d in plain.devices)
-        fused_launches = sum(d.clock.launches for d in fused.devices)
-        assert 0 < fused_launches < plain_launches
-    finally:
-        plain.close()
-        fused.close()
+        relevant = sum(
+            engine.partition_table.relevant_partitions(q).size
+            for q in engine.encode_queries(queries)
+        )
+        expected = oracle(engine, rows, keys, queries)
+        assert any(expected)
+        blocks = engine.encode_queries(queries)
+        calls = {
+            "match": lambda: [engine.match(tags) for tags in queries],
+            "match_batch": lambda: engine.match_batch(blocks),
+            "match_stream": lambda: engine.match_stream(blocks).results,
+        }
+        for path, call in calls.items():
+            before = sum(d.clock.launches for d in engine.devices)
+            got = canonical(call())
+            launches = sum(d.clock.launches for d in engine.devices) - before
+            assert got == expected, path
+            assert 0 < launches < relevant, path
 
 
 def test_snapshot_round_trip_preserves_hotpath_knobs(tmp_path):
-    blocks = encode([[1, 2], [2, 3], [4]])
+    rows = [tags_of([1, 2]), tags_of([2, 3]), tags_of([4])]
     keys = np.arange(3, dtype=np.int64)
-    engine = build_engine(
-        blocks, keys,
-        dict(fuse_partitions_below=8, coarse_prefilter=True, query_memo_size=16),
-    )
+    engine = build_engine(rows, keys, query_memo_size=16)
     path = str(tmp_path / "snap.npz")
     try:
         engine.save(path)
@@ -161,16 +169,14 @@ def test_snapshot_round_trip_preserves_hotpath_knobs(tmp_path):
         engine.close()
     restored = TagMatch.load(path)
     try:
-        assert restored.config.fuse_partitions_below == 8
-        assert restored.config.coarse_prefilter is True
         assert restored.config.query_memo_size == 16
-        got = canonical(restored.match_batch(encode([[1, 2, 3, 4]])))
+        got = canonical([restored.match(tags_of([1, 2, 3, 4]))])
         assert got == [[0, 1, 2]]
     finally:
         restored.close()
 
 
-@pytest.mark.parametrize("knobs", [dict(fuse_partitions_below=-1),
+@pytest.mark.parametrize("knobs", [dict(replication_factor=-1),
                                    dict(query_memo_size=-5)])
 def test_negative_knobs_rejected(knobs):
     from repro.errors import ValidationError

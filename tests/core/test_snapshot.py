@@ -1,7 +1,11 @@
 """Tests for index persistence (save/load snapshots)."""
 
+import json
+
+import numpy as np
 import pytest
 
+from repro.baselines.linear_scan import LinearScanMatcher
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
 from repro.errors import ValidationError
@@ -127,3 +131,66 @@ class TestGuards:
                 assert loaded.match({"anything"}).size == 0
             finally:
                 loaded.close()
+
+
+def legacy_config(**overrides):
+    """The 19-key config JSON written by releases that still had the
+    ``fuse_partitions_below``/``coarse_prefilter`` options and the
+    ``replicate_tagset_table`` switch."""
+    payload = {
+        "width": 192,
+        "num_hashes": 7,
+        "seed": 0,
+        "max_partition_size": 64,
+        "batch_size": 128,
+        "batch_timeout_s": None,
+        "num_threads": 4,
+        "num_gpus": 2,
+        "streams_per_gpu": 10,
+        "device_memory": 12 * 1024**3,
+        "thread_block_size": 1024,
+        "prefilter": True,
+        "fuse_partitions_below": 0,
+        "coarse_prefilter": True,
+        "query_memo_size": 0,
+        "replicate_tagset_table": True,
+        "replication_factor": None,
+        "exact_check": False,
+        "pivot_strategy": "balanced",
+    }
+    payload.update(overrides)
+    return np.frombuffer(json.dumps(payload).encode(), dtype=np.uint8)
+
+
+class TestLegacySnapshots:
+    @pytest.fixture()
+    def arrays(self, built, tmp_path):
+        """A saved index's arrays, ready to be re-written with an old config."""
+        path = str(tmp_path / "index.npz")
+        built.save(path)
+        with np.load(path) as archive:
+            return {name: archive[name] for name in archive.files}
+
+    @pytest.mark.parametrize("replicate,copies", [(True, 2), (False, 1)])
+    def test_old_config_loads(self, arrays, workload, tmp_path, replicate, copies):
+        path = str(tmp_path / "legacy.npz")
+        arrays["config"] = legacy_config(replicate_tagset_table=replicate)
+        np.savez_compressed(path, **arrays)
+        loaded = TagMatch.load(path)
+        try:
+            assert loaded.tagset_table.copies == copies
+            assert loaded.config.replication_factor == (None if replicate else 1)
+            oracle = LinearScanMatcher()
+            oracle.build(workload.blocks, workload.keys)
+            blocks = workload.queries(40, seed=3).blocks
+            got = [sorted(r.tolist()) for r in loaded.match_batch(blocks)]
+            assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
+        finally:
+            loaded.close()
+
+    def test_unknown_config_key_rejected(self, arrays, tmp_path):
+        path = str(tmp_path / "unknown.npz")
+        arrays["config"] = legacy_config(backend="thread")
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(ValidationError, match="backend"):
+            TagMatch.load(path)

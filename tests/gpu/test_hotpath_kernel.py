@@ -116,7 +116,6 @@ class TestFusedKernel:
             block_offsets=np.array(bounds, dtype=np.int64),
             member_commons=commons,
             member_of_block=np.array(mob, dtype=np.int64),
-            coarse=True,
         )
         got = set(zip(fused.query_ids.tolist(), fused.set_ids.tolist()))
 
@@ -136,7 +135,11 @@ class TestFusedKernel:
         queries = sorted_blocks([[1, 2, 3], [4, 5, 6], [9]])
         plain = subset_match_kernel(sets, ids, queries, thread_block_size=2)
         coarse = subset_match_kernel(
-            sets, ids, queries, thread_block_size=2, coarse=True
+            sets,
+            ids,
+            queries,
+            thread_block_size=2,
+            member_commons=np.bitwise_and.reduce(sets, axis=0, keepdims=True),
         )
         assert set(zip(plain.query_ids.tolist(), plain.set_ids.tolist())) == set(
             zip(coarse.query_ids.tolist(), coarse.set_ids.tolist())

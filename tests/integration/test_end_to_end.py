@@ -110,12 +110,12 @@ class TestIncrementalConsolidation:
 
 
 class TestPlacementEquivalence:
-    @pytest.mark.parametrize("num_gpus,replicate", [(1, True), (2, True), (2, False), (3, False)])
-    def test_results_independent_of_gpu_placement(self, workload, oracle, num_gpus, replicate):
+    @pytest.mark.parametrize("num_gpus,factor", [(1, None), (2, None), (2, 1), (3, 1)])
+    def test_results_independent_of_gpu_placement(self, workload, oracle, num_gpus, factor):
         cfg = TagMatchConfig(
             max_partition_size=256,
             num_gpus=num_gpus,
-            replicate_tagset_table=replicate,
+            replication_factor=factor,
             batch_timeout_s=0.01,
         )
         with TagMatch(cfg) as eng:

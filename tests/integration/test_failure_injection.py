@@ -50,7 +50,7 @@ class TestDeviceCapacity:
             TagMatchConfig(
                 num_gpus=4,
                 device_memory=int(need * 0.6),
-                replicate_tagset_table=False,
+                replication_factor=1,
                 batch_timeout_s=None,
             )
         )
