@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +31,9 @@ class Batch:
     partition_id: int
     queries: np.ndarray
     states: list[QueryState]
-    _canon: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def canonicalise(self) -> tuple[np.ndarray, np.ndarray]:
-        """Duplicate-query memoization at batch-build time (§4.2.1).
-
-        Returns ``(unique_rows, inverse)`` with ``unique_rows[inverse[i]]
-        == queries[i]``: byte-identical queries (duplicate interests in a
-        firehose workload) are matched on the device once and fanned back
-        out to their slots at the lookup stage.  Cached, since both the
-        dispatch path and tests may ask repeatedly.
-        """
-        if self._canon is None:
-            unique_rows, inverse = np.unique(
-                self.queries, axis=0, return_inverse=True
-            )
-            self._canon = (unique_rows, inverse.reshape(-1).astype(np.int64))
-        return self._canon
 
 
 class PartitionBatcher:

@@ -44,13 +44,6 @@ class TagMatchConfig:
         Simulated GPU topology.
     thread_block_size, prefilter:
         Kernel shape and the Algorithm 4 pre-filter switch.
-    query_memo_size:
-        Duplicate-query memoization.  ``> 0`` canonicalises each GPU
-        batch at build time (byte-identical queries are matched once and
-        fanned back out at the lookup/merge stage) and sizes the serving
-        layer's LRU of frozen-index results keyed on
-        ``(epoch, signature)`` — repeated firehose publishes skip the
-        device entirely.  ``0`` disables both.
     replication_factor:
         Copies of each dispatch unit across the GPUs (§3): ``None``
         replicates the tagset table on every GPU (maximal inter-GPU
@@ -77,7 +70,6 @@ class TagMatchConfig:
     device_memory: int = DEFAULT_DEVICE_MEMORY
     thread_block_size: int = DEFAULT_THREAD_BLOCK_SIZE
     prefilter: bool = True
-    query_memo_size: int = 0
     replication_factor: int | None = None
     exact_check: bool = False
     #: Algorithm 1 pivot rule: "balanced" (the paper's closest-to-50 %
@@ -106,8 +98,6 @@ class TagMatchConfig:
             raise ValidationError("streams_per_gpu must be positive")
         if self.thread_block_size <= 0:
             raise ValidationError("thread_block_size must be positive")
-        if self.query_memo_size < 0:
-            raise ValidationError("query_memo_size must be non-negative")
         if self.replication_factor is not None and not (
             1 <= self.replication_factor <= self.num_gpus
         ):

@@ -35,7 +35,7 @@ from repro.errors import ReproError
 from repro.gpu.doublebuffer import CycleResult, DoubleBufferedResults
 from repro.obs import trace
 from repro.gpu.packing import unpack_results
-from repro.gpu.stream import Stream
+from repro.gpu.stream import Stream, StreamOp
 
 __all__ = ["MatchPipeline", "PipelineRun", "PipelineStats", "grouped_key_lookup"]
 
@@ -93,9 +93,6 @@ class PipelineStats:
     timeout_flushes: int = 0
     shutdown_flushes: int = 0
     simulated_kernel_s: float = 0.0
-    #: Wall-clock time spent inside kernel invocations (the work a real
-    #: deployment would offload to the GPUs).
-    kernel_wall_s: float = 0.0
     #: Worker-thread split of the run (Figure 5's x-axis): their sum is
     #: exactly the ``num_threads`` the run was asked for.
     pre_workers: int = 0
@@ -112,12 +109,11 @@ class PipelineStats:
             else:
                 self.shutdown_flushes += 1
 
-    def record_kernel(self, pairs: int, simulated_s: float, wall_s: float = 0.0) -> None:
+    def record_kernel(self, pairs: int, simulated_s: float) -> None:
         with self._lock:
             self.kernel_invocations += 1
             self.pairs += pairs
             self.simulated_kernel_s += simulated_s
-            self.kernel_wall_s += wall_s
 
 
 @dataclass
@@ -219,6 +215,11 @@ class MatchPipeline:
         double_buffers: dict[Stream, DoubleBufferedResults] = {}
         db_lock = threading.Lock()
         stop_flusher = threading.Event()
+        # Every stream op this run enqueues: an op keeps its own
+        # exception, so the run re-raises it once the devices drain.
+        ops: list[StreamOp] = []
+        # Exceptions that killed a pre-process or lookup worker.
+        worker_errors: list[BaseException] = []
 
         def buffer_for(stream: Stream) -> DoubleBufferedResults:
             # Called only from within ops running on `stream`, but the
@@ -235,8 +236,6 @@ class MatchPipeline:
         # ---------------- stage 2: GPU dispatch ----------------
         runner = self.runner
 
-        memoize = self.config.query_memo_size > 0
-
         def dispatch(batch: Batch, reason: str) -> None:
             stats.record_batch(reason)
             unit_id = batch.partition_id
@@ -244,40 +243,30 @@ class MatchPipeline:
             device = residency.device
             stream = device.acquire_stream()
 
-            # Duplicate-query memoization: byte-identical queries in the
-            # batch ride the device once; the inverse map fans the keys
-            # back out to every duplicate slot at the lookup stage.
-            queries = batch.queries
-            inverse = None
-            if memoize:
-                unique_rows, inv = batch.canonicalise()
-                if unique_rows.shape[0] < len(batch.states):
-                    queries, inverse = unique_rows, inv
-
             def copy_in_kernel_and_push():
                 # The copy-in / kernel / result-push sequence of §3.3.2,
                 # submitted as one FIFO unit on the acquired stream.  The
                 # runner charges the simulated kernel time to the device.
-                qbuf = device.htod(queries, label="query-batch")
-                kernel_start = time.perf_counter()
-                result = runner.run_kernel(
-                    unit_id,
-                    qbuf.array(),
-                    residency=residency,
-                    arena=stream.arena,
-                )
-                kernel_wall = time.perf_counter() - kernel_start
-                qbuf.free()
-                stats.record_kernel(
-                    result.num_pairs, result.simulated_time_s, kernel_wall
-                )
+                qbuf = device.htod(batch.queries, label="query-batch")
+                try:
+                    result = runner.run_kernel(
+                        unit_id,
+                        qbuf.array(),
+                        residency=residency,
+                        arena=stream.arena,
+                    )
+                finally:
+                    qbuf.free()
+                stats.record_kernel(result.num_pairs, result.simulated_time_s)
                 delivered = buffer_for(stream).push(
-                    result.packed, result.num_pairs, meta=(batch.states, inverse)
+                    result.packed, result.num_pairs, meta=batch.states
                 )
                 if delivered is not None:
                     completions.put(delivered)
 
-            stream.enqueue(copy_in_kernel_and_push, label="copyin-match-copyout")
+            ops.append(
+                stream.enqueue(copy_in_kernel_and_push, label="copyin-match-copyout")
+            )
             # Asynchronous submission: release the stream immediately and
             # let its FIFO worker execute the sequence (§3.3.2).
             device.release_stream(stream)
@@ -351,7 +340,20 @@ class MatchPipeline:
             while not stop_flusher.wait(interval):
                 for batch in batchers.flush_stale(timeout):
                     dispatch(batch, "timeout")
-                self._flush_double_buffers(double_buffers, db_lock, completions)
+                ops.extend(
+                    self._flush_double_buffers(double_buffers, db_lock, completions)
+                )
+
+        def guarded(worker):
+            # A dead worker leaves queries incomplete: record why, so the
+            # run raises that instead of timing out on them.
+            def body(**kwargs) -> None:
+                try:
+                    worker(**kwargs)
+                except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                    worker_errors.append(exc)
+
+            return body
 
         # Total workers equal the requested thread count exactly (the
         # Figure 5 x-axis): with a single thread one worker serves both
@@ -365,7 +367,7 @@ class MatchPipeline:
         stats.lookup_workers = n_lookup
         pre_threads = [
             threading.Thread(
-                target=preprocess_worker,
+                target=guarded(preprocess_worker),
                 kwargs={"also_lookup": n_lookup == 0},
                 daemon=True,
                 name=f"pre-{i}",
@@ -373,7 +375,9 @@ class MatchPipeline:
             for i in range(n_pre)
         ]
         lookup_threads = [
-            threading.Thread(target=lookup_worker, daemon=True, name=f"lookup-{i}")
+            threading.Thread(
+                target=guarded(lookup_worker), daemon=True, name=f"lookup-{i}"
+            )
             for i in range(n_lookup)
         ]
         flusher_thread = None
@@ -391,52 +395,61 @@ class MatchPipeline:
         if flusher_thread:
             flusher_thread.start()
 
-        # Feed queries (optionally paced to a target arrival rate).
-        for lo in range(0, n, _FEED_CHUNK):
-            chunk = np.arange(lo, min(lo + _FEED_CHUNK, n))
-            for qi in chunk:
-                states[qi] = QueryState(int(qi), unique, on_complete=callback)
-            work.put(chunk)
-            if arrival_rate_qps:
-                target = start + (lo + chunk.size) / arrival_rate_qps
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
+        try:
+            # Feed queries (optionally paced to a target arrival rate).
+            for lo in range(0, n, _FEED_CHUNK):
+                chunk = np.arange(lo, min(lo + _FEED_CHUNK, n))
+                for qi in chunk:
+                    states[qi] = QueryState(int(qi), unique, on_complete=callback)
+                work.put(chunk)
+                if arrival_rate_qps:
+                    target = start + (lo + chunk.size) / arrival_rate_qps
+                    delay = target - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
 
-        for _ in pre_threads:
-            work.put(None)
-        for t in pre_threads:
-            t.join()
+            for _ in pre_threads:
+                work.put(None)
+            for t in pre_threads:
+                t.join()
 
-        # Shutdown: flush partial batches, then drain the device streams
-        # and the deferred double-buffer cycles.
-        for batch in batchers.flush_all():
-            dispatch(batch, "shutdown")
-        if flusher_thread:
+            # Shutdown: flush partial batches, then drain the device streams
+            # and the deferred double-buffer cycles.
+            for batch in batchers.flush_all():
+                dispatch(batch, "shutdown")
+            if flusher_thread:
+                stop_flusher.set()
+                flusher_thread.join()
+            for device in self.tagset_table.devices:
+                device.synchronize()
+            ops.extend(self._flush_double_buffers(double_buffers, db_lock, completions))
+            for device in self.tagset_table.devices:
+                device.synchronize()
+            # Both barriers passed, so every op has run: re-raise the
+            # first device-side failure (its queries never complete).
+            for op in ops:
+                op.wait(0)
+            if n_lookup == 0:
+                # Single-thread mode: every cycle is enqueued by now, so
+                # the caller thread finishes the lookup/reduce work itself.
+                drain_completions()
+        finally:
             stop_flusher.set()
-            flusher_thread.join()
-        for device in self.tagset_table.devices:
-            device.synchronize()
-        self._flush_double_buffers(double_buffers, db_lock, completions)
-        for device in self.tagset_table.devices:
-            device.synchronize()
-        if n_lookup == 0:
-            # Single-thread mode: every cycle is enqueued by now (both
-            # device barriers passed), so the caller thread finishes the
-            # lookup/reduce work itself.
-            drain_completions()
+            # The sentinels queue behind every enqueued cycle, so joined
+            # lookup workers have delivered all of them.
+            for _ in lookup_threads:
+                completions.put(None)
+            for t in lookup_threads:
+                t.join()
+            for db in double_buffers.values():
+                db.free()
+        if worker_errors:
+            raise worker_errors[0]
 
-        # Wait for every query to finalize, then stop lookup workers.
         for state in states:
             assert state is not None
             state.wait(timeout=120.0)
         elapsed = time.perf_counter() - start
-        for _ in lookup_threads:
-            completions.put(None)
-        for t in lookup_threads:
-            t.join()
-        for db in double_buffers.values():
-            db.free()
 
         results = [s.result for s in states]  # type: ignore[misc]
         latencies = np.array([s.latency_s for s in states])  # type: ignore[union-attr]
@@ -456,10 +469,11 @@ class MatchPipeline:
         double_buffers: dict[Stream, DoubleBufferedResults],
         db_lock: threading.Lock,
         completions: queue.Queue,
-    ) -> None:
+    ) -> list[StreamOp]:
         """Enqueue a flush op on every stream with a deferred cycle."""
         with db_lock:
             items = list(double_buffers.items())
+        ops = []
         for stream, db in items:
             def flush_op(db=db):
                 delivered = db.flush()
@@ -467,7 +481,8 @@ class MatchPipeline:
                     completions.put(delivered)
 
             if not stream.closed:
-                stream.enqueue(flush_op, label="flush-results")
+                ops.append(stream.enqueue(flush_op, label="flush-results"))
+        return ops
 
     def _unpack_scratch(self, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-lookup-thread reusable unpack buffers (zero-allocation
@@ -484,16 +499,11 @@ class MatchPipeline:
     def _deliver(self, cycle: CycleResult) -> None:
         """Key lookup/reduce for one returned batch (stage 3).
 
-        ``cycle.meta`` is ``(states, inverse)``: with duplicate-query
-        memoization the kernel matched only the unique query rows and
-        ``inverse`` maps each original slot to its unique row; every
-        duplicate slot receives the (shared, read-only) key chunk of its
-        representative.  Without memoization ``inverse`` is ``None`` and
-        slots map one-to-one.
+        ``cycle.meta`` is the batch's query states: the kernel's local
+        query id ``i`` is ``states[i]``.
         """
         with trace.span("post_process", pairs=int(cycle.num_pairs)):
-            batch_states, inverse = cycle.meta
-            num_slots = len(batch_states) if inverse is None else int(inverse.max()) + 1
+            batch_states = cycle.meta
             empty = np.empty(0, dtype=np.int64)
             if cycle.num_pairs == 0:
                 for state in batch_states:
@@ -502,17 +512,10 @@ class MatchPipeline:
             q_ids, set_ids = unpack_results(
                 cycle.packed, cycle.num_pairs, out=self._unpack_scratch(cycle.num_pairs)
             )
-            seen = np.zeros(num_slots, dtype=bool)
-            chunks: list[np.ndarray | None] = [None] * num_slots
+            chunks: list[np.ndarray] = [empty] * len(batch_states)
             for local_q, chunk in grouped_key_lookup(
                 q_ids, set_ids.astype(np.int64), self.key_table
             ):
                 chunks[local_q] = chunk
-                seen[local_q] = True
-            if inverse is None:
-                for local_q, state in enumerate(batch_states):
-                    state.deliver_keys(chunks[local_q] if seen[local_q] else empty)
-            else:
-                for slot, state in enumerate(batch_states):
-                    local_q = int(inverse[slot])
-                    state.deliver_keys(chunks[local_q] if seen[local_q] else empty)
+            for state, chunk in zip(batch_states, chunks):
+                state.deliver_keys(chunk)

@@ -36,7 +36,6 @@ _CONFIG_FIELDS = (
     "device_memory",
     "thread_block_size",
     "prefilter",
-    "query_memo_size",
     "replication_factor",
     "exact_check",
     "pivot_strategy",
@@ -51,13 +50,14 @@ def _config_json(config: TagMatchConfig) -> str:
 def _config_from_json(raw: str) -> TagMatchConfig:
     """Rebuild the stored config, accepting snapshots of older releases.
 
-    Those stored two kernel-plan options that are now fixed (dropped
-    here) and ``replicate_tagset_table``, whose ``False`` is a
-    replication factor of one.  Any other unknown key is an error.
+    Those stored two kernel-plan options that are now fixed and the
+    size of the deleted duplicate-query memo (all dropped here), and
+    ``replicate_tagset_table``, whose ``False`` is a replication factor
+    of one.  Any other unknown key is an error.
     """
     stored = json.loads(raw)
-    stored.pop("fuse_partitions_below", None)
-    stored.pop("coarse_prefilter", None)
+    for retired in ("fuse_partitions_below", "coarse_prefilter", "query_memo_size"):
+        stored.pop(retired, None)
     replicate = stored.pop("replicate_tagset_table", True)
     if replicate is False and stored.get("replication_factor") is None:
         stored["replication_factor"] = 1

@@ -165,10 +165,6 @@ class Device:
             if not stream.closed:
                 stream.synchronize()
 
-    def stream_busy_s(self) -> float:
-        """Total wall time streams spent executing ops (utilisation)."""
-        return sum(stream.busy_s for stream in self.streams)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

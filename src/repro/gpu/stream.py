@@ -68,12 +68,6 @@ class Stream:
         self._queue: queue.Queue[StreamOp | None] = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()
-        #: Occupancy counters: ops submitted/finished and wall time spent
-        #: executing them — the host analogue of per-stream GPU
-        #: utilisation.
-        self.ops_enqueued = 0
-        self.ops_completed = 0
-        self.busy_s = 0.0
         self._arena = None
         self._worker = threading.Thread(
             target=self._drain,
@@ -89,16 +83,13 @@ class Stream:
                 return
             start = time.perf_counter()
             op.run()
-            elapsed = time.perf_counter() - start
-            self.busy_s += elapsed
-            self.ops_completed += 1
             if trace.is_enabled():
                 # One span per stream op: the copy→kernel→copy FIFO
                 # sequences of §3.3.2, i.e. per-stream occupancy.
                 trace.record(
                     "stream_op",
                     start,
-                    elapsed,
+                    time.perf_counter() - start,
                     {
                         "label": op.label,
                         "stream": self.stream_id,
@@ -112,14 +103,8 @@ class Stream:
             if self._closed:
                 raise StreamError(f"enqueue on closed stream {self.stream_id}")
             op = StreamOp(fn, label)
-            self.ops_enqueued += 1
             self._queue.put(op)
             return op
-
-    @property
-    def depth(self) -> int:
-        """Ops submitted but not yet finished (approximate, diagnostic)."""
-        return max(0, self.ops_enqueued - self.ops_completed)
 
     @property
     def arena(self):

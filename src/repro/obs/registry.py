@@ -1,9 +1,8 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 One :class:`Registry` unifies every counter the system previously kept
-in scattered ad-hoc structures — ``ServiceMetrics`` attributes, the
-per-device :class:`~repro.gpu.timing.DeviceClock`, and
-``QueryMemo.stats()`` — behind a single name/label namespace that both
+in scattered ad-hoc structures — ``ServiceMetrics`` attributes and the
+per-device :class:`~repro.gpu.timing.DeviceClock` — behind a single name/label namespace that both
 the ``stats`` verb and the Prometheus endpoint render from.
 
 Histograms use *fixed* bucket bounds, so p50/p90/p99 estimates cost
@@ -229,7 +228,7 @@ class Registry:
     """Get-or-create namespace of metrics keyed on ``(name, labels)``.
 
     ``register_collector`` hooks late-bound sources (device clocks, the
-    memo, the delta store): collectors run right before every
+    delta store): collectors run right before every
     ``snapshot()``/render so gauges reflect the current state without
     the sources pushing on their own hot paths.
     """

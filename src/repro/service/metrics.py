@@ -175,7 +175,6 @@ class ServiceMetrics:
         inflight: int,
         deadline_s: float,
         connections: int,
-        memo: dict | None = None,
         device: dict | None = None,
     ) -> dict:
         elapsed = max(self._clock() - self.started_at, 1e-9)
@@ -220,7 +219,4 @@ class ServiceMetrics:
             "trace_dropped_spans": self.trace_dropped_spans,
             "inflight": inflight,
             "connections": connections,
-            #: Duplicate-query memo hit/miss counters; ``None`` when the
-            #: engine runs with ``query_memo_size == 0``.
-            "memo": memo,
         }

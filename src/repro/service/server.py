@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.batch import Batch
 from repro.core.config import ServiceConfig
 from repro.core.engine import TagMatch
-from repro.core.memo import QueryMemo
 from repro.errors import ValidationError
 from repro.obs import trace
 from repro.obs.export import MetricsServer, render_prometheus
@@ -107,16 +106,6 @@ class MatchServer:
                 self.config.min_deadline_s,
                 self.config.max_deadline_s,
             ),
-        )
-        #: Duplicate-query memoization (§4.2.1's repeated interests): a
-        #: firehose message whose signature was already matched against
-        #: the current epoch skips the device entirely.  Only frozen
-        #: (pre-delta-overlay, multiset) results are cached; the overlay
-        #: is applied per request, so live subscribes are never masked.
-        self._memo = (
-            QueryMemo(engine.config.query_memo_size)
-            if engine.config.query_memo_size > 0
-            else None
         )
         self._conns: set[_Conn] = set()
         self._inflight = 0
@@ -415,54 +404,15 @@ class MatchServer:
         subtraction is exact; per-query ``unique`` is applied after the
         overlay.  No inner flush timeout: the ingress batcher already
         decided each batch's latency budget.
-
-        With memoization on, signatures already matched against this
-        epoch are served from the LRU and only the misses ride the
-        pipeline (a fully memoized run never touches the device).
         """
-        epoch = engine.epoch
-        if self._memo is None:
-            run = engine.match_stream(
-                blocks,
-                unique=False,
-                num_threads=self.config.match_threads,
-                batch_timeout_s=None,
-            )
-            results = apply_delta(run.results, blocks, view, unique_flags)
-            return results, run.epoch
-
-        frozen: list[np.ndarray | None] = [None] * len(blocks)
-        miss_slots: dict[bytes, list[int]] = {}
-        for i, row in enumerate(blocks):
-            signature = row.tobytes()
-            cached = self._memo.get(epoch, signature)
-            if cached is not None:
-                frozen[i] = cached
-            else:
-                miss_slots.setdefault(signature, []).append(i)
-        if miss_slots:
-            signatures = list(miss_slots)
-            miss_blocks = np.vstack(
-                [np.frombuffer(s, dtype=np.uint64) for s in signatures]
-            )
-            run = engine.match_stream(
-                miss_blocks,
-                unique=False,
-                num_threads=self.config.match_threads,
-                batch_timeout_s=None,
-            )
-            epoch = run.epoch
-            for signature, keys in zip(signatures, run.results):
-                # Frozen multiset keys only: callers overlay the delta on
-                # top, so the cached value stays valid for the epoch.
-                # The memo freezes the array; propagating its read-only
-                # view (not the writable original) means no consumer can
-                # mutate what later hits will be served from.
-                cached = self._memo.put(epoch, signature, keys)
-                for slot in miss_slots[signature]:
-                    frozen[slot] = cached
-        results = apply_delta(frozen, blocks, view, unique_flags)
-        return results, epoch
+        run = engine.match_stream(
+            blocks,
+            unique=False,
+            num_threads=self.config.match_threads,
+            batch_timeout_s=None,
+        )
+        results = apply_delta(run.results, blocks, view, unique_flags)
+        return results, run.epoch
 
     # ------------------------------------------------------------------
     # Epoch swap / reconsolidation
@@ -579,11 +529,6 @@ class MatchServer:
             reg.gauge("repro_device_launches", device=dev.device_id).set(
                 snap["launches"]
             )
-        if self._memo is not None:
-            memo = self._memo.stats()
-            reg.gauge("repro_memo_size").set(memo["size"])
-            reg.gauge("repro_memo_hits").set(memo["hits"])
-            reg.gauge("repro_memo_misses").set(memo["misses"])
 
     def _render_metrics(self) -> str:
         self._ingest_trace()
@@ -620,7 +565,6 @@ class MatchServer:
             inflight=self._inflight,
             deadline_s=self._batcher.deadline.current_s,
             connections=len(self._conns),
-            memo=self._memo.stats() if self._memo is not None else None,
             device={
                 str(dev.device_id): dev.clock.snapshot()
                 for dev in self.engine.devices

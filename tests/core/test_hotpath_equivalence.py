@@ -3,10 +3,8 @@
 Every engine fuses small partitions into shared dispatch units and runs
 the hierarchical coarse pre-filter; both are execution-plan choices, so
 ``match``, ``match_batch`` and ``match_stream`` must return exactly what
-a brute-force scan over the same signatures returns.  Duplicate-query
-memoization is still a knob: it must produce bitwise-identical match
-results on or off, through both the synchronous path (``match_batch``)
-and the four-stage pipeline (``match_stream``).
+a brute-force scan over the same signatures returns, duplicate queries
+included.
 """
 
 import numpy as np
@@ -70,8 +68,8 @@ def every_path(engine, queries):
 def test_each_optimisation_matches_baseline(rows, queries, data):
     rows = [tags_of(r) for r in rows]
     keys = np.arange(len(rows), dtype=np.int64)
-    # A duplicate-heavy query stream: repeat rows so both the batch
-    # canonicalisation and the fused batchers see realistic input.
+    # A duplicate-heavy query stream: repeated rows share batches (and
+    # fused batchers), and each must still get its own full answer.
     dup_idx = data.draw(
         st.lists(st.integers(0, len(queries) - 1), min_size=0, max_size=6)
     )
@@ -82,17 +80,6 @@ def test_each_optimisation_matches_baseline(rows, queries, data):
         expected = oracle(plain, rows, keys, queries)
         for path, got in every_path(plain, queries).items():
             assert got == expected, path
-        blocks = plain.encode_queries(queries)
-        memo = build_engine(rows, keys, query_memo_size=64)
-        try:
-            assert canonical(memo.match_batch(blocks)) == canonical(
-                plain.match_batch(blocks)
-            )
-            assert canonical(memo.match_stream(blocks).results) == canonical(
-                plain.match_stream(blocks).results
-            )
-        finally:
-            memo.close()
     finally:
         plain.close()
 
@@ -104,18 +91,17 @@ def test_each_optimisation_matches_baseline(rows, queries, data):
 )
 def test_single_query_path_matches_baseline(rows, query):
     """``match()`` walks dispatch units directly (no pipeline); it must
-    agree with the scan with memoization on and off."""
+    agree with the scan."""
     rows = [tags_of(r) for r in rows]
     keys = np.arange(len(rows), dtype=np.int64)
     qtags = tags_of(query)
-    for knobs in ({}, dict(query_memo_size=64)):
-        engine = build_engine(rows, keys, **knobs)
-        try:
-            expected = oracle(engine, rows, keys, [qtags])[0]
-            assert sorted(engine.match(qtags).tolist()) == expected
-            assert engine.match_unique(qtags).tolist() == sorted(set(expected))
-        finally:
-            engine.close()
+    engine = build_engine(rows, keys)
+    try:
+        expected = oracle(engine, rows, keys, [qtags])[0]
+        assert sorted(engine.match(qtags).tolist()) == expected
+        assert engine.match_unique(qtags).tolist() == sorted(set(expected))
+    finally:
+        engine.close()
 
 
 def test_fused_table_reduces_launches():
@@ -161,7 +147,7 @@ def test_fused_table_reduces_launches():
 def test_snapshot_round_trip_preserves_hotpath_knobs(tmp_path):
     rows = [tags_of([1, 2]), tags_of([2, 3]), tags_of([4])]
     keys = np.arange(3, dtype=np.int64)
-    engine = build_engine(rows, keys, query_memo_size=16)
+    engine = build_engine(rows, keys)
     path = str(tmp_path / "snap.npz")
     try:
         engine.save(path)
@@ -169,7 +155,9 @@ def test_snapshot_round_trip_preserves_hotpath_knobs(tmp_path):
         engine.close()
     restored = TagMatch.load(path)
     try:
-        assert restored.config.query_memo_size == 16
+        # build_engine's kernel-shape fields are all non-default.
+        assert restored.config.max_partition_size == 4
+        assert restored.config.thread_block_size == 3
         got = canonical([restored.match(tags_of([1, 2, 3, 4]))])
         assert got == [[0, 1, 2]]
     finally:
@@ -177,7 +165,7 @@ def test_snapshot_round_trip_preserves_hotpath_knobs(tmp_path):
 
 
 @pytest.mark.parametrize("knobs", [dict(replication_factor=-1),
-                                   dict(query_memo_size=-5)])
+                                   dict(pivot_strategy="unknown")])
 def test_negative_knobs_rejected(knobs):
     from repro.errors import ValidationError
 

@@ -1,5 +1,6 @@
 """Tests for index persistence (save/load snapshots)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from repro.baselines.linear_scan import LinearScanMatcher
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
+from repro.core.snapshot import _CONFIG_FIELDS
 from repro.errors import ValidationError
 from repro.workloads import generate_twitter_workload
 
@@ -135,8 +137,8 @@ class TestGuards:
 
 def legacy_config(**overrides):
     """The 19-key config JSON written by releases that still had the
-    ``fuse_partitions_below``/``coarse_prefilter`` options and the
-    ``replicate_tagset_table`` switch."""
+    ``fuse_partitions_below``/``coarse_prefilter`` options, the
+    ``replicate_tagset_table`` switch and the ``query_memo_size`` memo."""
     payload = {
         "width": 192,
         "num_hashes": 7,
@@ -187,6 +189,26 @@ class TestLegacySnapshots:
             assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
         finally:
             loaded.close()
+
+    def test_old_memo_size_is_dropped(self, arrays, workload, tmp_path):
+        path = str(tmp_path / "memo.npz")
+        arrays["config"] = legacy_config(query_memo_size=64)
+        np.savez_compressed(path, **arrays)
+        loaded = TagMatch.load(path)
+        try:
+            oracle = LinearScanMatcher()
+            oracle.build(workload.blocks, workload.keys)
+            blocks = workload.queries(40, seed=3).blocks
+            got = [sorted(r.tolist()) for r in loaded.match_batch(blocks)]
+            assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
+        finally:
+            loaded.close()
+
+    def test_snapshot_stores_every_config_field(self):
+        # A field added to or removed from the config must change the
+        # snapshot format too; the cost model is not persisted.
+        fields = {f.name for f in dataclasses.fields(TagMatchConfig)}
+        assert set(_CONFIG_FIELDS) == fields - {"cost_model"}
 
     def test_unknown_config_key_rejected(self, arrays, tmp_path):
         path = str(tmp_path / "unknown.npz")

@@ -28,7 +28,6 @@ query_lists = st.lists(
 knobs = st.fixed_dictionaries(
     {
         "max_partition_size": st.integers(2, 8),
-        "query_memo_size": st.sampled_from([0, 8]),
         "batch_size": st.sampled_from([1, 4]),
         "num_gpus": st.sampled_from([1, 2]),
     }

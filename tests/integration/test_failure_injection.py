@@ -1,8 +1,11 @@
 """Failure injection: capacity exhaustion, misuse, lifecycle edges."""
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.baselines.linear_scan import LinearScanMatcher
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
 from repro.errors import CapacityError, ConsolidationError, DeviceError, ValidationError
@@ -58,6 +61,32 @@ class TestDeviceCapacity:
         split.consolidate()  # fits: each device holds ~1/4 of the table
         assert split.match_batch(blocks[:1])[0].size > 0
         split.close()
+
+    def test_stream_raises_device_fault_instead_of_timing_out(self, workload):
+        # Room for the tagset table but not for the pipeline's query and
+        # result buffers: the synchronous path works, the pipeline's
+        # stream ops fail, and the run must surface that failure rather
+        # than wait out its queries.
+        probe = TagMatch(TagMatchConfig(batch_timeout_s=None))
+        probe.add_signatures(workload.blocks, workload.keys)
+        probe.consolidate()
+        need = probe.memory_usage().gpu_tagset_bytes
+        probe.close()
+
+        cfg = TagMatchConfig(device_memory=need + 64, batch_timeout_s=None)
+        with TagMatch(cfg) as eng:
+            eng.add_signatures(workload.blocks, workload.keys)
+            eng.consolidate()
+            blocks = workload.queries(64, seed=5).blocks
+            start = time.perf_counter()
+            with pytest.raises(CapacityError):
+                eng.match_stream(blocks)
+            assert time.perf_counter() - start < 5.0
+
+            oracle = LinearScanMatcher()
+            oracle.build(workload.blocks, workload.keys)
+            got = [sorted(r.tolist()) for r in eng.match_batch(blocks)]
+            assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
 
 
 class TestLifecycleMisuse:
@@ -121,3 +150,39 @@ class TestPipelineRobustness:
             run = eng.match_stream(stream, unique=True)
             assert all(r.size > 0 for r in run.results[:20])
             assert all(r.size == 0 for r in run.results[20:])
+
+    def test_stream_raises_lookup_worker_failure(self, workload):
+        # A delivery callback that raises kills its lookup worker; the run
+        # re-raises that error instead of waiting on the queries left behind.
+        def fail(query_index, keys):
+            raise RuntimeError("delivery callback failed")
+
+        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None, num_threads=2)
+        with TagMatch(cfg) as eng:
+            eng.add_signatures(workload.blocks, workload.keys)
+            eng.consolidate()
+            blocks = workload.queries(32, seed=6).blocks
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="delivery callback failed"):
+                eng.match_stream(blocks, on_result=fail)
+            assert time.perf_counter() - start < 5.0
+            assert len(eng.match_stream(blocks).results) == 32
+
+    def test_stream_raises_result_flush_failure(self, workload, monkeypatch):
+        # The shutdown flush delivers each stream's trailing cycle; when it
+        # fails, those queries never complete and the run must say why.
+        from repro.gpu.doublebuffer import DoubleBufferedResults
+
+        def fail(self):
+            raise RuntimeError("result flush failed")
+
+        monkeypatch.setattr(DoubleBufferedResults, "flush", fail)
+        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None, num_threads=2)
+        with TagMatch(cfg) as eng:
+            eng.add_signatures(workload.blocks, workload.keys)
+            eng.consolidate()
+            blocks = workload.queries(32, seed=7).blocks
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="result flush failed"):
+                eng.match_stream(blocks)
+            assert time.perf_counter() - start < 5.0

@@ -118,7 +118,7 @@ def test_registry_mirrors_attribute_counters():
 
 def test_snapshot_keeps_seed_keys_and_adds_device_section():
     m = ServiceMetrics()
-    stats = snap(m, device={"0": {"kernel_s": 0.0, "launches": 4}}, memo=None)
+    stats = snap(m, device={"0": {"kernel_s": 0.0, "launches": 4}})
     for key in (
         "uptime_s",
         "qps",
@@ -133,7 +133,6 @@ def test_snapshot_keeps_seed_keys_and_adds_device_section():
         "reconsolidations",
         "inflight",
         "connections",
-        "memo",
     ):
         assert key in stats
     assert stats["device"]["0"]["launches"] == 4
