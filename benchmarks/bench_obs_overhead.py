@@ -47,7 +47,6 @@ def build_engine(num_sets: int) -> TagMatch:
             max_partition_size=64,
             batch_size=64,
             batch_timeout_s=0.01,
-            num_threads=4,
         )
     )
     rng = np.random.default_rng(42)

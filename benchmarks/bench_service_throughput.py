@@ -44,7 +44,6 @@ def build_engine(num_sets: int) -> TagMatch:
         max_partition_size=64,
         batch_size=256,
         batch_timeout_s=None,
-        num_threads=2,
     )
     engine = TagMatch(cfg)
     rng = np.random.default_rng(42)

@@ -39,7 +39,6 @@ def main(num_users: int = 50_000) -> None:
         max_partition_size=max(200, workload.num_unique_sets // 256),
         batch_size=256,
         num_gpus=2,
-        num_threads=4,
         batch_timeout_s=0.02,
     )
     with TagMatch(config) as engine:

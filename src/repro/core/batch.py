@@ -8,7 +8,6 @@ for longer than a configurable timeout (Figure 6 studies this knob).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -37,7 +36,10 @@ class Batch:
 
 
 class PartitionBatcher:
-    """Accumulates queries for one partition until full or timed out."""
+    """Accumulates queries for one partition until full or timed out.
+
+    Local to one pipeline run, so it takes no lock.
+    """
 
     def __init__(self, partition_id: int, batch_size: int, num_words: int) -> None:
         if batch_size <= 0:
@@ -45,7 +47,6 @@ class PartitionBatcher:
         self.partition_id = partition_id
         self.batch_size = batch_size
         self._num_words = num_words
-        self._lock = threading.Lock()
         self._rows: list[np.ndarray] = []
         self._states: list[QueryState] = []
         self._oldest: float | None = None
@@ -61,28 +62,25 @@ class PartitionBatcher:
         The bulk path serves the vectorized pre-process stage: one call
         per (chunk, partition) pair instead of one per query.
         """
-        with self._lock:
-            if not self._states:
-                self._oldest = time.perf_counter()
-            self._rows.append(np.atleast_2d(rows))
-            self._states.extend(states)
-            return self._emit_full_locked()
+        if not self._states:
+            self._oldest = time.perf_counter()
+        self._rows.append(np.atleast_2d(rows))
+        self._states.extend(states)
+        return self._emit_full()
 
     def flush(self) -> Batch | None:
         """Emit whatever is queued, regardless of age (shutdown path)."""
-        with self._lock:
-            return self._take_remainder_locked()
+        return self._take_remainder()
 
     def flush_if_stale(self, timeout_s: float) -> Batch | None:
         """Emit the queued batch if its oldest query exceeds the timeout."""
-        with self._lock:
-            if self._oldest is None:
-                return None
-            if time.perf_counter() - self._oldest < timeout_s:
-                return None
-            return self._take_remainder_locked()
+        if self._oldest is None:
+            return None
+        if time.perf_counter() - self._oldest < timeout_s:
+            return None
+        return self._take_remainder()
 
-    def _emit_full_locked(self) -> list[Batch]:
+    def _emit_full(self) -> list[Batch]:
         """Split off every full ``batch_size`` batch, keep the remainder."""
         if len(self._states) < self.batch_size:
             return []
@@ -103,7 +101,7 @@ class PartitionBatcher:
         self._oldest = time.perf_counter() if self._states else None
         return out
 
-    def _take_remainder_locked(self) -> Batch | None:
+    def _take_remainder(self) -> Batch | None:
         if not self._states:
             return None
         batch = Batch(
@@ -118,12 +116,16 @@ class PartitionBatcher:
 
     @property
     def pending(self) -> int:
-        with self._lock:
-            return len(self._states)
+        return len(self._states)
+
+    @property
+    def oldest(self) -> float | None:
+        """When the oldest queued query joined, or ``None`` when empty."""
+        return self._oldest
 
 
 class BatcherSet:
-    """All partition batchers plus the stale-batch scan for the flusher."""
+    """All partition batchers of one run, plus the scan for stale batches."""
 
     def __init__(self, num_partitions: int, batch_size: int, num_words: int) -> None:
         self.batchers = [
@@ -143,6 +145,11 @@ class BatcherSet:
             for b in (batcher.flush_if_stale(timeout_s) for batcher in self.batchers)
             if b
         ]
+
+    def next_deadline(self, timeout_s: float) -> float | None:
+        """When the oldest pending batch goes stale (``None``: nothing pending)."""
+        oldest = [b.oldest for b in self.batchers if b.oldest is not None]
+        return min(oldest) + timeout_s if oldest else None
 
     @property
     def total_pending(self) -> int:

@@ -3,8 +3,10 @@
 All of the paper's tuning knobs live here: the Bloom-filter geometry
 (§3), the maximum partition size ``MAX_P`` that balances CPU and GPU load
 (§3.1, Figure 7), the query batch size and flush timeout (§3, Figure 6),
-the CPU thread allocation (§4.3.3, Figure 5), and the simulated GPU
-topology (two 12 GB cards with 10 streams each on the paper's testbed).
+and the simulated GPU topology (two 12 GB cards with 10 streams each on
+the paper's testbed).  The paper's CPU thread allocation (§4.3.3,
+Figure 5) is not a knob: a match runs in the calling thread, and
+Figure 5 is a model fed by the thread counts it sweeps (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ class TagMatchConfig:
     batch_timeout_s:
         Flush partially filled batches after this long (``None`` disables
         the timeout, as in the paper's no-timeout latency runs).
-    num_threads:
-        CPU threads shared by the pre-process and key-lookup stages.
     num_gpus, streams_per_gpu, device_memory:
-        Simulated GPU topology.
+        Simulated GPU topology.  A pipeline run cycles through each
+        device's ``streams_per_gpu`` streams, one double buffer each
+        (§3.3.2).
     thread_block_size, prefilter:
         Kernel shape and the Algorithm 4 pre-filter switch.
     replication_factor:
@@ -64,7 +66,6 @@ class TagMatchConfig:
     max_partition_size: int = 8192
     batch_size: int = 128
     batch_timeout_s: float | None = 0.05
-    num_threads: int = 4
     num_gpus: int = 1
     streams_per_gpu: int = DEFAULT_STREAMS_PER_DEVICE
     device_memory: int = DEFAULT_DEVICE_MEMORY
@@ -90,8 +91,6 @@ class TagMatchConfig:
             )
         if self.batch_timeout_s is not None and self.batch_timeout_s < 0:
             raise ValidationError("batch_timeout_s must be non-negative or None")
-        if self.num_threads <= 0:
-            raise ValidationError("num_threads must be positive")
         if self.num_gpus <= 0:
             raise ValidationError("num_gpus must be positive")
         if self.streams_per_gpu <= 0:
@@ -137,7 +136,8 @@ class ServiceConfig:
         Per-connection cap on outstanding publishes; a connection at
         the cap stops being read, which surfaces as TCP backpressure.
     match_threads:
-        ``num_threads`` handed to the engine pipeline per matcher run.
+        Unused by the server, which matches in one thread; kept because
+        ``perfbench/runners.py`` reads it.
     reconsolidate_threshold:
         Delta-store size (adds + tombstones) that triggers a background
         reconsolidation; ``0`` disables the automatic trigger (the

@@ -3,8 +3,9 @@
 ``add-set``/``remove-set`` stage changes, ``consolidate`` rebuilds the
 partitioned index (Algorithm 1) and uploads the tagset table to the
 simulated GPUs, and ``match``/``match-unique`` answer subset queries —
-synchronously for single queries, or through the four-stage batched
-pipeline for high-throughput streams (:meth:`TagMatch.match_stream`).
+one query per launch, or through the four-stage batched pipeline for
+high-throughput streams (:meth:`TagMatch.match_stream`).  Every path
+runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -304,10 +305,10 @@ class TagMatch:
         return np.array(keep, dtype=np.int64)
 
     def match_batch(self, query_blocks: np.ndarray, unique: bool = False) -> list[np.ndarray]:
-        """Synchronous batched matching (no pipeline threads).
+        """Match each row with :meth:`match`'s per-query launches.
 
-        Deterministic and single-threaded; used by tests and the CPU-only
-        baseline.  ``query_blocks`` is an ``(n, blocks)`` array.
+        Deterministic; used by tests and the CPU-only baseline.
+        ``query_blocks`` is an ``(n, blocks)`` array.
         """
         self._check_encoded_ok("match_batch")
         return [self._match_row(row, unique) for row in query_blocks]
@@ -321,7 +322,7 @@ class TagMatch:
         """High-throughput matching through the four-stage pipeline.
 
         Accepts the :meth:`MatchPipeline.run` keyword arguments
-        (``num_threads``, ``batch_timeout_s``, ``arrival_rate_qps``).
+        (``batch_timeout_s``, ``arrival_rate_qps``).
         """
         self._check_encoded_ok("match_stream")
         assert self.pipeline is not None
@@ -390,7 +391,7 @@ class TagMatch:
             )
 
     def close(self) -> None:
-        """Free device memory and stop all stream workers."""
+        """Free device memory and close the devices."""
         if self._closed:
             return
         self._closed = True

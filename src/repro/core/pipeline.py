@@ -1,26 +1,27 @@
 """The four-stage matching pipeline (§3, Figure 1).
 
 Stages: (i) *pre-process* finds the partitions relevant to each query
-(Algorithm 2, CPU threads); (ii) *subset match* evaluates full batches of
-queries against one partition on a GPU (Algorithms 3–4, submitted through
-pooled streams with double-buffered result transfers); (iii) *key
+(Algorithm 2); (ii) *subset match* evaluates full batches of queries
+against one partition on a GPU (Algorithms 3–4, submitted through the
+device's streams with double-buffered result transfers); (iii) *key
 lookup/reduce* maps matched set ids to application keys and groups them
 by query; (iv) *merge* combines the per-partition key sets once a query's
 outstanding-batch counter returns to zero.
 
-The pipeline maximises parallelism both between and within stages: any
-number of CPU threads run pre-processing and key lookup, every device
-stream carries its own in-flight batch sequence, and the CPU threads
-submit whole copy→kernel→copy sequences asynchronously (§3.3.2), so they
-never wait on the GPU.
+The paper overlaps these stages with CPU threads and asynchronous CUDA
+streams (§3.3.2).  On the simulated GPU the kernel runs on the host CPU
+and its device time comes from the cost model either way, so a run here
+does every stage in the calling thread, in one loop: feed a chunk,
+pre-process it, launch each batch it fills, unpack and look up the
+returned cycles, merge.  Paced runs keep their wall-clock flush timeouts
+by sleeping no longer than the oldest pending batch's deadline.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +34,9 @@ from repro.core.runner import UnitRunner
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ReproError
 from repro.gpu.doublebuffer import CycleResult, DoubleBufferedResults
-from repro.obs import trace
 from repro.gpu.packing import unpack_results
-from repro.gpu.stream import Stream, StreamOp
+from repro.gpu.stream import Stream
+from repro.obs import trace
 
 __all__ = ["MatchPipeline", "PipelineRun", "PipelineStats", "grouped_key_lookup"]
 
@@ -93,27 +94,20 @@ class PipelineStats:
     timeout_flushes: int = 0
     shutdown_flushes: int = 0
     simulated_kernel_s: float = 0.0
-    #: Worker-thread split of the run (Figure 5's x-axis): their sum is
-    #: exactly the ``num_threads`` the run was asked for.
-    pre_workers: int = 0
-    lookup_workers: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record_batch(self, reason: str) -> None:
-        with self._lock:
-            self.batches += 1
-            if reason == "full":
-                self.full_flushes += 1
-            elif reason == "timeout":
-                self.timeout_flushes += 1
-            else:
-                self.shutdown_flushes += 1
+        self.batches += 1
+        if reason == "full":
+            self.full_flushes += 1
+        elif reason == "timeout":
+            self.timeout_flushes += 1
+        else:
+            self.shutdown_flushes += 1
 
     def record_kernel(self, pairs: int, simulated_s: float) -> None:
-        with self._lock:
-            self.kernel_invocations += 1
-            self.pairs += pairs
-            self.simulated_kernel_s += simulated_s
+        self.kernel_invocations += 1
+        self.pairs += pairs
+        self.simulated_kernel_s += simulated_s
 
 
 @dataclass
@@ -166,8 +160,6 @@ class MatchPipeline:
         #: Launches the stage-2 kernels; the engine's synchronous paths
         #: share it.
         self.runner = UnitRunner(tagset_table, config)
-        #: Per-lookup-thread unpack scratch (see :meth:`_unpack_scratch`).
-        self._tls = threading.local()
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -179,283 +171,179 @@ class MatchPipeline:
         num_threads: int | None = None,
         batch_timeout_s: float | None | str = "config",
         arrival_rate_qps: float | None = None,
-        on_result=None,
     ) -> PipelineRun:
-        """Match every row of ``query_blocks`` and wait for completion.
+        """Match every row of ``query_blocks`` in the calling thread.
 
-        ``arrival_rate_qps`` paces query arrival (used by the latency
-        experiment of Figure 6); by default queries arrive as fast as the
-        pre-process stage accepts them.  ``on_result(query_index, keys)``,
-        if given, is invoked from a pipeline worker thread the moment each
-        query's merge completes — the push-style delivery a messaging
-        system needs; it must be thread-safe and fast.
+        Queries are fed in chunks of 32.  By default they all arrive at
+        once; ``arrival_rate_qps`` paces them (the latency experiment of
+        Figure 6): each chunk is released at its scheduled time, and a
+        query's latency runs from that time.  ``num_threads`` is ignored:
+        ``perfbench/runners.py`` passes it.
         """
         if query_blocks.ndim != 2:
             raise ReproError("query_blocks must be a 2-D block array")
         timeout = (
             self.config.batch_timeout_s if batch_timeout_s == "config" else batch_timeout_s
         )
-        threads = num_threads if num_threads is not None else self.config.num_threads
         n = query_blocks.shape[0]
-        states: list[QueryState | None] = [None] * n
+        states: list[QueryState] = []
         stats = PipelineStats()
-
+        tagset_table = self.tagset_table
+        runner = self.runner
+        unit_starts = tagset_table.unit_starts
+        capacity_pairs = 4 * self.config.batch_size
         # Batches form per dispatch unit: a fused unit's batcher covers a
         # whole run of small partitions, so one flush becomes one fused
         # kernel launch.
-        num_units = self.tagset_table.num_units
-        unit_starts = self.tagset_table.unit_starts
         batchers = BatcherSet(
-            num_units,
-            self.config.batch_size,
-            query_blocks.shape[1],
+            tagset_table.num_units, self.config.batch_size, query_blocks.shape[1]
         )
-        work: queue.Queue[np.ndarray | None] = queue.Queue()
-        completions: queue.Queue[CycleResult | None] = queue.Queue()
+        # A run takes each device's streams round-robin; every stream it
+        # uses gets its own even/odd result buffers (§3.3.2).
+        next_stream = {
+            device: itertools.cycle(device.streams) for device in tagset_table.devices
+        }
         double_buffers: dict[Stream, DoubleBufferedResults] = {}
-        db_lock = threading.Lock()
-        stop_flusher = threading.Event()
-        # Every stream op this run enqueues: an op keeps its own
-        # exception, so the run re-raises it once the devices drain.
-        ops: list[StreamOp] = []
-        # Exceptions that killed a pre-process or lookup worker.
-        worker_errors: list[BaseException] = []
+        unpack_out = (
+            np.empty(capacity_pairs, dtype=np.uint8),
+            np.empty(capacity_pairs, dtype=np.uint32),
+        )
 
-        def buffer_for(stream: Stream) -> DoubleBufferedResults:
-            # Called only from within ops running on `stream`, but the
-            # dict itself is shared across streams.
-            with db_lock:
-                db = double_buffers.get(stream)
-                if db is None:
-                    db = DoubleBufferedResults(
-                        stream.device, capacity_pairs=4 * self.config.batch_size
-                    )
-                    double_buffers[stream] = db
-                return db
+        def deliver(cycle: CycleResult | None) -> None:
+            nonlocal unpack_out
+            if cycle is None:
+                return
+            if cycle.num_pairs > unpack_out[0].shape[0]:
+                unpack_out = (
+                    np.empty(cycle.num_pairs, dtype=np.uint8),
+                    np.empty(cycle.num_pairs, dtype=np.uint32),
+                )
+            self._deliver(cycle, unpack_out)
 
         # ---------------- stage 2: GPU dispatch ----------------
-        runner = self.runner
-
         def dispatch(batch: Batch, reason: str) -> None:
             stats.record_batch(reason)
             unit_id = batch.partition_id
-            residency = self.tagset_table.unit_residency(unit_id)
+            residency = tagset_table.unit_residency(unit_id)
             device = residency.device
-            stream = device.acquire_stream()
+            stream = next(next_stream[device])
+            db = double_buffers.get(stream)
+            if db is None:
+                db = DoubleBufferedResults(device, capacity_pairs=capacity_pairs)
+                double_buffers[stream] = db
 
-            def copy_in_kernel_and_push():
-                # The copy-in / kernel / result-push sequence of §3.3.2,
-                # submitted as one FIFO unit on the acquired stream.  The
-                # runner charges the simulated kernel time to the device.
+            def copy_in_kernel_and_push() -> CycleResult | None:
+                # The copy-in / kernel / result-push sequence of §3.3.2 as
+                # one FIFO unit on the stream.  The runner charges the
+                # simulated kernel time to the device.
                 qbuf = device.htod(batch.queries, label="query-batch")
                 try:
                     result = runner.run_kernel(
-                        unit_id,
-                        qbuf.array(),
-                        residency=residency,
-                        arena=stream.arena,
+                        unit_id, qbuf.array(), residency=residency, arena=stream.arena
                     )
                 finally:
                     qbuf.free()
                 stats.record_kernel(result.num_pairs, result.simulated_time_s)
-                delivered = buffer_for(stream).push(
-                    result.packed, result.num_pairs, meta=batch.states
-                )
-                if delivered is not None:
-                    completions.put(delivered)
+                return db.push(result.packed, result.num_pairs, meta=batch.states)
 
-            ops.append(
-                stream.enqueue(copy_in_kernel_and_push, label="copyin-match-copyout")
-            )
-            # Asynchronous submission: release the stream immediately and
-            # let its FIFO worker execute the sequence (§3.3.2).
-            device.release_stream(stream)
+            deliver(stream.enqueue(copy_in_kernel_and_push, label="copyin-match-copyout"))
+
+        def deliver_trailing() -> None:
+            """Copy out every stream's deferred cycle (§3.3.2 flush)."""
+            for stream, db in double_buffers.items():
+                deliver(stream.enqueue(db.flush, label="flush-results"))
+
+        def flush_stale() -> None:
+            """Once the oldest pending batch is past the timeout, ship every
+            stale batch and copy out every deferred cycle."""
+            if timeout is None:
+                return
+            deadline = batchers.next_deadline(timeout)
+            if deadline is None or deadline > time.perf_counter():
+                return
+            for batch in batchers.flush_stale(timeout):
+                dispatch(batch, "timeout")
+            deliver_trailing()
+
+        def wait_until(target: float) -> None:
+            """Sleep until ``target``, waking to flush batches that go stale."""
+            while True:
+                deadline = None if timeout is None else batchers.next_deadline(timeout)
+                wake = target if deadline is None else min(deadline, target)
+                delay = wake - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                flush_stale()
+                if wake >= target:
+                    return
 
         # ---------------- stage 1: pre-process ----------------
-        def preprocess_worker(also_lookup: bool = False) -> None:
-            while True:
-                chunk = work.get()
-                if chunk is None:
-                    return
-                with trace.span("pre_process", queries=int(chunk.size)):
-                    rows = query_blocks[chunk]
-                    # Vectorized Algorithm 2 over the whole chunk: one
-                    # dense scan of the compact mask matrix.
-                    matrix = self.partition_table.relevant_matrix(rows)
-                    # Collapse partition columns to dispatch units: a
-                    # unit is relevant when any member partition is.
-                    matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
-                    counts = matrix.sum(axis=1)
-                    chunk_states: list[QueryState] = []
-                    for local, qi in enumerate(chunk):
-                        state = states[qi]
-                        assert state is not None
-                        chunk_states.append(state)
-                        if counts[local]:
-                            state.add_batches(int(counts[local]))
-                    q_local, p_idx = np.nonzero(matrix)
-                    if p_idx.size:
-                        order = np.argsort(p_idx, kind="stable")
-                        q_sorted = q_local[order]
-                        p_sorted = p_idx[order]
-                        boundaries = np.nonzero(np.diff(p_sorted))[0] + 1
-                        starts = np.concatenate(([0], boundaries))
-                        ends = np.concatenate((boundaries, [p_sorted.size]))
-                        for gs, ge in zip(starts, ends):
-                            pid = int(p_sorted[gs])
-                            members = q_sorted[gs:ge]
-                            full_batches = batchers[pid].add_many(
-                                rows[members],
-                                [chunk_states[m] for m in members],
+        def preprocess(lo: int, hi: int, release: float) -> list[Batch]:
+            """Algorithm 2 over one chunk; returns the batches it filled."""
+            full_batches: list[Batch] = []
+            with trace.span("pre_process", queries=hi - lo):
+                rows = query_blocks[lo:hi]
+                # Vectorized Algorithm 2 over the whole chunk: one dense
+                # scan of the compact mask matrix.
+                matrix = self.partition_table.relevant_matrix(rows)
+                # Collapse partition columns to dispatch units: a unit is
+                # relevant when any member partition is.
+                matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
+                counts = matrix.sum(axis=1)
+                chunk_states = [QueryState(qi, unique, release) for qi in range(lo, hi)]
+                states.extend(chunk_states)
+                for state, count in zip(chunk_states, counts):
+                    if count:
+                        state.add_batches(int(count))
+                q_local, p_idx = np.nonzero(matrix)
+                if p_idx.size:
+                    order = np.argsort(p_idx, kind="stable")
+                    q_sorted = q_local[order]
+                    p_sorted = p_idx[order]
+                    boundaries = np.nonzero(np.diff(p_sorted))[0] + 1
+                    starts = np.concatenate(([0], boundaries))
+                    ends = np.concatenate((boundaries, [p_sorted.size]))
+                    for gs, ge in zip(starts, ends):
+                        members = q_sorted[gs:ge]
+                        full_batches.extend(
+                            batchers[int(p_sorted[gs])].add_many(
+                                rows[members], [chunk_states[m] for m in members]
                             )
-                            for full in full_batches:
-                                dispatch(full, "full")
-                    for state in chunk_states:
-                        state.preprocess_complete()
-                if also_lookup:
-                    drain_completions()
-
-        # ---------------- stages 3+4: lookup/reduce + merge ----------------
-        def drain_completions() -> None:
-            """Non-blocking lookup/reduce sweep (single-thread mode)."""
-            while True:
-                try:
-                    item = completions.get_nowait()
-                except queue.Empty:
-                    return
-                if item is not None:
-                    self._deliver(item)
-
-        def lookup_worker() -> None:
-            while True:
-                item = completions.get()
-                if item is None:
-                    return
-                self._deliver(item)
-
-        # ---------------- timeout flusher ----------------
-        def flusher() -> None:
-            assert timeout is not None
-            interval = max(timeout / 4.0, 1e-3)
-            while not stop_flusher.wait(interval):
-                for batch in batchers.flush_stale(timeout):
-                    dispatch(batch, "timeout")
-                ops.extend(
-                    self._flush_double_buffers(double_buffers, db_lock, completions)
-                )
-
-        def guarded(worker):
-            # A dead worker leaves queries incomplete: record why, so the
-            # run raises that instead of timing out on them.
-            def body(**kwargs) -> None:
-                try:
-                    worker(**kwargs)
-                except BaseException as exc:  # noqa: BLE001 - re-raised by run()
-                    worker_errors.append(exc)
-
-            return body
-
-        # Total workers equal the requested thread count exactly (the
-        # Figure 5 x-axis): with a single thread one worker serves both
-        # the pre-process and lookup queues instead of spawning two.
-        if threads == 1:
-            n_pre, n_lookup = 1, 0
-        else:
-            n_pre = max(1, threads // 2)
-            n_lookup = max(1, threads - n_pre)
-        stats.pre_workers = n_pre
-        stats.lookup_workers = n_lookup
-        pre_threads = [
-            threading.Thread(
-                target=guarded(preprocess_worker),
-                kwargs={"also_lookup": n_lookup == 0},
-                daemon=True,
-                name=f"pre-{i}",
-            )
-            for i in range(n_pre)
-        ]
-        lookup_threads = [
-            threading.Thread(
-                target=guarded(lookup_worker), daemon=True, name=f"lookup-{i}"
-            )
-            for i in range(n_lookup)
-        ]
-        flusher_thread = None
-        if timeout is not None:
-            flusher_thread = threading.Thread(target=flusher, daemon=True, name="flusher")
-
-        callback = None
-        if on_result is not None:
-            def callback(state: QueryState) -> None:
-                on_result(state.query_index, state.result)
+                        )
+                for state in chunk_states:
+                    state.preprocess_complete()
+            return full_batches
 
         start = time.perf_counter()
-        for t in pre_threads + lookup_threads:
-            t.start()
-        if flusher_thread:
-            flusher_thread.start()
-
         try:
-            # Feed queries (optionally paced to a target arrival rate).
             for lo in range(0, n, _FEED_CHUNK):
-                chunk = np.arange(lo, min(lo + _FEED_CHUNK, n))
-                for qi in chunk:
-                    states[qi] = QueryState(int(qi), unique, on_complete=callback)
-                work.put(chunk)
+                release = start
                 if arrival_rate_qps:
-                    target = start + (lo + chunk.size) / arrival_rate_qps
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-
-            for _ in pre_threads:
-                work.put(None)
-            for t in pre_threads:
-                t.join()
-
-            # Shutdown: flush partial batches, then drain the device streams
-            # and the deferred double-buffer cycles.
+                    release = start + lo / arrival_rate_qps
+                    wait_until(release)
+                for full in preprocess(lo, min(lo + _FEED_CHUNK, n), release):
+                    dispatch(full, "full")
+                flush_stale()
+            if arrival_rate_qps:
+                wait_until(start + n / arrival_rate_qps)
+            # Shutdown: ship partial batches, then copy out the deferred
+            # double-buffer cycles.
             for batch in batchers.flush_all():
                 dispatch(batch, "shutdown")
-            if flusher_thread:
-                stop_flusher.set()
-                flusher_thread.join()
-            for device in self.tagset_table.devices:
-                device.synchronize()
-            ops.extend(self._flush_double_buffers(double_buffers, db_lock, completions))
-            for device in self.tagset_table.devices:
-                device.synchronize()
-            # Both barriers passed, so every op has run: re-raise the
-            # first device-side failure (its queries never complete).
-            for op in ops:
-                op.wait(0)
-            if n_lookup == 0:
-                # Single-thread mode: every cycle is enqueued by now, so
-                # the caller thread finishes the lookup/reduce work itself.
-                drain_completions()
+            deliver_trailing()
         finally:
-            stop_flusher.set()
-            # The sentinels queue behind every enqueued cycle, so joined
-            # lookup workers have delivered all of them.
-            for _ in lookup_threads:
-                completions.put(None)
-            for t in lookup_threads:
-                t.join()
             for db in double_buffers.values():
                 db.free()
-        if worker_errors:
-            raise worker_errors[0]
-
-        for state in states:
-            assert state is not None
-            state.wait(timeout=120.0)
+        incomplete = [state.query_index for state in states if not state.done]
+        if incomplete:
+            raise ReproError(
+                f"{len(incomplete)} queries did not complete, first {incomplete[0]}"
+            )
         elapsed = time.perf_counter() - start
 
-        results = [s.result for s in states]  # type: ignore[misc]
-        latencies = np.array([s.latency_s for s in states])  # type: ignore[union-attr]
         return PipelineRun(
-            results=results,
-            latencies_s=latencies,
+            results=[state.result for state in states],
+            latencies_s=np.array([state.latency_s for state in states]),
             elapsed_s=elapsed,
             stats=stats,
             epoch=self.epoch,
@@ -464,43 +352,14 @@ class MatchPipeline:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _flush_double_buffers(
-        self,
-        double_buffers: dict[Stream, DoubleBufferedResults],
-        db_lock: threading.Lock,
-        completions: queue.Queue,
-    ) -> list[StreamOp]:
-        """Enqueue a flush op on every stream with a deferred cycle."""
-        with db_lock:
-            items = list(double_buffers.items())
-        ops = []
-        for stream, db in items:
-            def flush_op(db=db):
-                delivered = db.flush()
-                if delivered is not None:
-                    completions.put(delivered)
-
-            if not stream.closed:
-                ops.append(stream.enqueue(flush_op, label="flush-results"))
-        return ops
-
-    def _unpack_scratch(self, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-lookup-thread reusable unpack buffers (zero-allocation
-        steady state for stage 3; each delivery is confined to one
-        thread, so thread-local scratch is race-free)."""
-        tls = self._tls
-        q_buf = getattr(tls, "q_buf", None)
-        if q_buf is None or q_buf.shape[0] < num_pairs:
-            capacity = max(num_pairs, 4 * self.config.batch_size)
-            tls.q_buf = np.empty(capacity, dtype=np.uint8)
-            tls.s_buf = np.empty(capacity, dtype=np.uint32)
-        return tls.q_buf, tls.s_buf
-
-    def _deliver(self, cycle: CycleResult) -> None:
+    def _deliver(
+        self, cycle: CycleResult, unpack_out: tuple[np.ndarray, np.ndarray]
+    ) -> None:
         """Key lookup/reduce for one returned batch (stage 3).
 
         ``cycle.meta`` is the batch's query states: the kernel's local
-        query id ``i`` is ``states[i]``.
+        query id ``i`` is ``states[i]``.  ``unpack_out`` is the run's
+        reusable unpack scratch, large enough for ``cycle.num_pairs``.
         """
         with trace.span("post_process", pairs=int(cycle.num_pairs)):
             batch_states = cycle.meta
@@ -509,9 +368,7 @@ class MatchPipeline:
                 for state in batch_states:
                     state.deliver_keys(empty)
                 return
-            q_ids, set_ids = unpack_results(
-                cycle.packed, cycle.num_pairs, out=self._unpack_scratch(cycle.num_pairs)
-            )
+            q_ids, set_ids = unpack_results(cycle.packed, cycle.num_pairs, out=unpack_out)
             chunks: list[np.ndarray] = [empty] * len(batch_states)
             for local_q, chunk in grouped_key_lookup(
                 q_ids, set_ids.astype(np.int64), self.key_table

@@ -10,7 +10,6 @@ semantics) or a set union for ``match-unique``.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import numpy as np
@@ -31,7 +30,7 @@ def merge_keys(chunks: list[np.ndarray], unique: bool) -> np.ndarray:
 
 
 class QueryState:
-    """Tracks one in-flight query through the matching pipeline."""
+    """Tracks one query through a single pipeline run."""
 
     __slots__ = (
         "query_index",
@@ -39,28 +38,27 @@ class QueryState:
         "enqueue_time",
         "complete_time",
         "result",
-        "on_complete",
-        "_lock",
         "_pending_batches",
         "_preprocess_done",
         "_chunks",
-        "_done",
     )
 
-    def __init__(self, query_index: int, unique: bool, on_complete=None) -> None:
+    def __init__(
+        self, query_index: int, unique: bool, enqueue_time: float | None = None
+    ) -> None:
         self.query_index = query_index
         self.unique = unique
-        #: Optional callback fired (from a pipeline worker thread) the
-        #: moment this query's merge completes: ``on_complete(state)``.
-        self.on_complete = on_complete
-        self.enqueue_time = time.perf_counter()
+        #: When the query arrived: latency runs from here to the merge.
+        #: The pipeline passes the scheduled release of the query's feed
+        #: chunk, so a run that falls behind its schedule keeps the wait.
+        self.enqueue_time = (
+            time.perf_counter() if enqueue_time is None else enqueue_time
+        )
         self.complete_time: float | None = None
         self.result: np.ndarray | None = None
-        self._lock = threading.Lock()
         self._pending_batches = 0
         self._preprocess_done = False
         self._chunks: list[np.ndarray] = []
-        self._done = threading.Event()
 
     # ------------------------------------------------------------------
     # Pipeline hooks
@@ -73,53 +71,37 @@ class QueryState:
         """Pre-process forwarded this query into ``n`` more batches."""
         if n < 0:
             raise ReproError("batch count must be non-negative")
-        with self._lock:
-            if self._preprocess_done:
-                raise ReproError("add_batch after preprocess_complete")
-            self._pending_batches += n
+        if self._preprocess_done:
+            raise ReproError("add_batch after preprocess_complete")
+        self._pending_batches += n
 
     def preprocess_complete(self) -> None:
         """Pre-processing finished; the query joins no further batches."""
-        finalize = False
-        with self._lock:
-            self._preprocess_done = True
-            finalize = self._pending_batches == 0
-        if finalize:
+        self._preprocess_done = True
+        if self._pending_batches == 0:
             self._finalize()
 
     def deliver_keys(self, keys: np.ndarray) -> None:
         """One batch returned from the GPU with this query's keys."""
-        finalize = False
-        with self._lock:
-            if self._pending_batches <= 0:
-                raise ReproError("deliver_keys without a pending batch")
-            if keys.size:
-                self._chunks.append(keys)
-            self._pending_batches -= 1
-            finalize = self._preprocess_done and self._pending_batches == 0
-        if finalize:
+        if self._pending_batches <= 0:
+            raise ReproError("deliver_keys without a pending batch")
+        if keys.size:
+            self._chunks.append(keys)
+        self._pending_batches -= 1
+        if self._preprocess_done and self._pending_batches == 0:
             self._finalize()
 
     def _finalize(self) -> None:
         self.result = merge_keys(self._chunks, self.unique)
         self._chunks = []
         self.complete_time = time.perf_counter()
-        self._done.set()
-        if self.on_complete is not None:
-            self.on_complete(self)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: float | None = None) -> np.ndarray:
-        if not self._done.wait(timeout):
-            raise ReproError(f"query {self.query_index} did not complete in time")
-        assert self.result is not None
-        return self.result
+        return self.result is not None
 
     @property
     def latency_s(self) -> float:

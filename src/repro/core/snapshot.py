@@ -30,7 +30,6 @@ _CONFIG_FIELDS = (
     "max_partition_size",
     "batch_size",
     "batch_timeout_s",
-    "num_threads",
     "num_gpus",
     "streams_per_gpu",
     "device_memory",
@@ -50,13 +49,19 @@ def _config_json(config: TagMatchConfig) -> str:
 def _config_from_json(raw: str) -> TagMatchConfig:
     """Rebuild the stored config, accepting snapshots of older releases.
 
-    Those stored two kernel-plan options that are now fixed and the
-    size of the deleted duplicate-query memo (all dropped here), and
-    ``replicate_tagset_table``, whose ``False`` is a replication factor
-    of one.  Any other unknown key is an error.
+    Those stored two kernel-plan options that are now fixed, the size
+    of the deleted duplicate-query memo and the deleted pipeline thread
+    count (all dropped here), and ``replicate_tagset_table``, whose
+    ``False`` is a replication factor of one.  Any other unknown key is
+    an error.
     """
     stored = json.loads(raw)
-    for retired in ("fuse_partitions_below", "coarse_prefilter", "query_memo_size"):
+    for retired in (
+        "fuse_partitions_below",
+        "coarse_prefilter",
+        "query_memo_size",
+        "num_threads",
+    ):
         stored.pop(retired, None)
     replicate = stored.pop("replicate_tagset_table", True)
     if replicate is False and stored.get("replication_factor") is None:

@@ -3,8 +3,8 @@
 The paper runs its subset-match stage on two NVIDIA TITAN X cards; this
 package replaces them with a simulated device that preserves everything
 TagMatch's design actually depends on: SPMD kernels over thread blocks
-(with the Algorithm 4 shared-memory pre-filter), FIFO streams with
-asynchronous submission, explicit host<->device copies priced by a PCIe
+(with the Algorithm 4 shared-memory pre-filter), FIFO streams,
+explicit host<->device copies priced by a PCIe
 cost model, device memory capacity accounting, the packed result layout
 of §3.3.1, and the even/odd double-buffered transfer protocol of §3.3.2.
 """
@@ -38,7 +38,7 @@ from repro.gpu.packing import (
     packed_size,
     unpack_results,
 )
-from repro.gpu.stream import Stream, StreamOp
+from repro.gpu.stream import Stream
 from repro.gpu.timing import CostModel, DeviceClock
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "MemoryLedger",
     "ResultArena",
     "Stream",
-    "StreamOp",
     "TransferDirection",
     "TransferStats",
     "block_prefixes",

@@ -2,7 +2,7 @@
 
 A :class:`Device` bundles the pieces a CUDA device exposes to TagMatch:
 device memory (with capacity accounting), host<->device copies (charged
-to the PCIe cost model), and a fixed pool of streams (the paper's
+to the PCIe cost model), and a fixed set of streams (the paper's
 platform allows 10 per GPU, §4.3.3).  Kernels themselves live in
 :mod:`repro.gpu.kernels`; they take device buffers and charge their
 simulated execution time to the device clock.
@@ -10,15 +10,12 @@ simulated execution time to the device clock.
 
 from __future__ import annotations
 
-import contextlib
-import queue
 import threading
 from time import perf_counter
-from typing import Iterator
 
 import numpy as np
 
-from repro.errors import DeviceError, StreamError
+from repro.errors import DeviceError
 from repro.gpu.memory import (
     DeviceBuffer,
     MemoryLedger,
@@ -56,9 +53,6 @@ class Device:
         self.clock = DeviceClock()
         self.transfers = TransferStats()
         self.streams: list[Stream] = [Stream(self, i) for i in range(num_streams)]
-        self._available: queue.Queue[Stream] = queue.Queue()
-        for stream in self.streams:
-            self._available.put(stream)
         self._closed = False
         self._lock = threading.Lock()
 
@@ -128,48 +122,10 @@ class Device:
             )
 
     # ------------------------------------------------------------------
-    # Streams
-    # ------------------------------------------------------------------
-    def acquire_stream(self, timeout: float | None = None) -> Stream:
-        """Take an available stream from the pool (blocks if all busy).
-
-        Mirrors §3.3.2: *"each CPU thread that needs to invoke a kernel on
-        a batch of queries acquires an available stream."*
-        """
-        self._check_open()
-        try:
-            return self._available.get(timeout=timeout)
-        except queue.Empty:
-            raise StreamError(
-                f"no stream available on device {self.device_id} within timeout"
-            ) from None
-
-    def release_stream(self, stream: Stream) -> None:
-        """Return a stream to the pool."""
-        if stream.device is not self:
-            raise StreamError("releasing a stream owned by another device")
-        self._available.put(stream)
-
-    @contextlib.contextmanager
-    def stream(self, timeout: float | None = None) -> Iterator[Stream]:
-        """Context-managed acquire/release of a pooled stream."""
-        acquired = self.acquire_stream(timeout=timeout)
-        try:
-            yield acquired
-        finally:
-            self.release_stream(acquired)
-
-    def synchronize(self) -> None:
-        """Wait for all streams to drain (device-wide barrier)."""
-        for stream in self.streams:
-            if not stream.closed:
-                stream.synchronize()
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain and stop all stream workers."""
+        """Close every stream; the device refuses further work."""
         with self._lock:
             if self._closed:
                 return

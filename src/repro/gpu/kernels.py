@@ -106,9 +106,9 @@ class KernelResult:
 class ResultArena:
     """Growable preallocated output buffers for kernel invocations.
 
-    One arena is owned by one serial execution context — a stream (whose
-    FIFO guarantees at most one kernel in flight) or a lookup thread —
-    and reused across invocations, so the steady
+    One arena is owned by one serial execution context — a stream, whose
+    lock lets one kernel at a time write into it — and reused across
+    invocations, so the steady
     state allocates nothing: the per-block match pairs are written
     straight into the ``query_ids``/``set_ids`` arrays, boolean scratch
     matrices back the containment calls, and :meth:`pack` emits the

@@ -99,7 +99,7 @@ def unpack_results(
 
     ``out``, when given, is a ``(query_buf, set_buf)`` pair of
     preallocated uint8/uint32 arrays with capacity ≥ ``num_pairs``; the
-    returned arrays are views of them, so a lookup thread can reuse one
+    returned arrays are views of them, so a pipeline run can reuse one
     unpack scratch across every delivered batch.
     """
     buf = np.ascontiguousarray(packed, dtype=np.uint8)

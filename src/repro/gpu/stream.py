@@ -1,20 +1,22 @@
-"""CUDA-style streams: FIFO queues of asynchronous device operations.
+"""CUDA-style streams: FIFO queues of device operations.
 
 §3.3.2 of the paper: *"A stream is an abstraction of a queue of GPU
 operations.  Operations within the same stream execute sequentially in
 FIFO order, while operations in different streams are executed in
 parallel as much as possible."*
 
-Each :class:`Stream` owns one daemon worker thread that drains its
-operation queue in order, which gives exactly those semantics: FIFO
-within a stream, concurrency across streams.  CPU threads enqueue whole
-copy/kernel/copy sequences and continue with other pipeline work — the
-asynchrony that lets TagMatch overlap pre-processing with GPU matching.
+On the simulated GPU a kernel runs on the host CPU and its device time
+comes from the cost model, so host threads per stream would add no
+parallelism.  A :class:`Stream` is therefore a synchronous FIFO handle:
+:meth:`Stream.enqueue` runs the operation in the calling thread, under
+the stream's lock, and returns its result.  Operations on one stream
+still execute strictly one after another, in the order callers enqueue
+them, which is what keeps the stream's reused :class:`ResultArena` safe
+when two threads match on one engine.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from typing import Any, Callable
@@ -22,95 +24,50 @@ from typing import Any, Callable
 from repro.errors import StreamError
 from repro.obs import trace
 
-__all__ = ["Stream", "StreamOp"]
-
-
-class StreamOp:
-    """A pending operation submitted to a stream.
-
-    Behaves like a future: ``wait()`` blocks until the operation ran and
-    returns its result, re-raising any exception from the device side.
-    """
-
-    def __init__(self, fn: Callable[[], Any], label: str) -> None:
-        self._fn = fn
-        self.label = label
-        self._done = threading.Event()
-        self._result: Any = None
-        self._error: BaseException | None = None
-
-    def run(self) -> None:
-        try:
-            self._result = self._fn()
-        except BaseException as exc:  # noqa: BLE001 - surfaced via wait()
-            self._error = exc
-        finally:
-            self._done.set()
-
-    def wait(self, timeout: float | None = None) -> Any:
-        if not self._done.wait(timeout):
-            raise StreamError(f"timed out waiting for stream op {self.label!r}")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
+__all__ = ["Stream"]
 
 
 class Stream:
-    """One FIFO queue of device operations with a dedicated worker."""
+    """One FIFO queue of device operations, run in the caller's thread."""
 
     def __init__(self, device: Any, stream_id: int) -> None:
         self.device = device
         self.stream_id = stream_id
-        self._queue: queue.Queue[StreamOp | None] = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()
         self._arena = None
-        self._worker = threading.Thread(
-            target=self._drain,
-            name=f"gpu{getattr(device, 'device_id', '?')}-stream{stream_id}",
-            daemon=True,
-        )
-        self._worker.start()
 
-    def _drain(self) -> None:
-        while True:
-            op = self._queue.get()
-            if op is None:
-                return
-            start = time.perf_counter()
-            op.run()
-            if trace.is_enabled():
-                # One span per stream op: the copy→kernel→copy FIFO
-                # sequences of §3.3.2, i.e. per-stream occupancy.
-                trace.record(
-                    "stream_op",
-                    start,
-                    time.perf_counter() - start,
-                    {
-                        "label": op.label,
-                        "stream": self.stream_id,
-                        "device": getattr(self.device, "device_id", -1),
-                    },
-                )
+    def enqueue(self, fn: Callable[[], Any], label: str = "op") -> Any:
+        """Run ``fn`` on this stream and return its result.
 
-    def enqueue(self, fn: Callable[[], Any], label: str = "op") -> StreamOp:
-        """Submit ``fn`` for asynchronous FIFO execution on this stream."""
+        Errors raise directly to the caller and leave the stream usable.
+        """
         with self._lock:
             if self._closed:
                 raise StreamError(f"enqueue on closed stream {self.stream_id}")
-            op = StreamOp(fn, label)
-            self._queue.put(op)
-            return op
+            start = time.perf_counter()
+            try:
+                return fn()
+            finally:
+                if trace.is_enabled():
+                    # One span per stream op: the copy→kernel→copy FIFO
+                    # sequences of §3.3.2, i.e. per-stream occupancy.
+                    trace.record(
+                        "stream_op",
+                        start,
+                        time.perf_counter() - start,
+                        {
+                            "label": label,
+                            "stream": self.stream_id,
+                            "device": getattr(self.device, "device_id", -1),
+                        },
+                    )
 
     @property
     def arena(self):
         """This stream's reusable kernel output arena.
 
-        A stream executes its operations strictly in FIFO order, so at
+        A stream executes its operations strictly one at a time, so at
         most one kernel invocation is ever writing into the arena — the
         result buffers are recycled across invocations without any
         per-launch allocation (§3.3.1's device-side output vector, kept
@@ -123,19 +80,10 @@ class Stream:
             self._arena = ResultArena()
         return self._arena
 
-    def synchronize(self, timeout: float | None = None) -> None:
-        """Block until every operation enqueued so far has completed."""
-        marker = self.enqueue(lambda: None, label="sync-marker")
-        marker.wait(timeout)
-
     def close(self) -> None:
-        """Stop the worker after draining all pending operations."""
+        """Refuse further operations; one already running finishes first."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            self._queue.put(None)
-        self._worker.join()
 
     @property
     def closed(self) -> bool:

@@ -346,7 +346,7 @@ def fig5_threads(
     # match-unique adds the merge stage's np.unique per query, measured
     # separately so the two modes differ by the real merge cost rather
     # than by run-to-run noise of two pipeline measurements.
-    run = engine.match_stream(blocks, num_threads=2)
+    run = engine.match_stream(blocks)
     cpu_match = max(run.elapsed_s - t_kernel, 0.05 * run.elapsed_s)
     t0 = time.perf_counter()
     for keys in run.results:

@@ -43,7 +43,6 @@ def default_engine_config(**overrides) -> TagMatchConfig:
         max_partition_size=BENCH_MAX_P,
         batch_size=256,
         num_gpus=2,
-        num_threads=8,
         batch_timeout_s=None,
     )
     base.update(overrides)

@@ -101,9 +101,9 @@ _NOOP = _NoopSpan()
 class Tracer:
     """Bounded ring buffer of :class:`Span` records.
 
-    Appends are serialized by a lock (they come from pipeline and
-    stream worker threads concurrently); readers get
-    consistent copies.  The ring drops the oldest spans past
+    Appends are serialized by a lock (every thread that matches or builds
+    an engine records, e.g. the server's matcher and rebuild threads);
+    readers get consistent copies.  The ring drops the oldest spans past
     ``capacity`` — telemetry is best-effort recent history, never an
     unbounded log.
     """

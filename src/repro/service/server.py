@@ -405,12 +405,7 @@ class MatchServer:
         overlay.  No inner flush timeout: the ingress batcher already
         decided each batch's latency budget.
         """
-        run = engine.match_stream(
-            blocks,
-            unique=False,
-            num_threads=self.config.match_threads,
-            batch_timeout_s=None,
-        )
+        run = engine.match_stream(blocks, unique=False, batch_timeout_s=None)
         results = apply_delta(run.results, blocks, view, unique_flags)
         return results, run.epoch
 

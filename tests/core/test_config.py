@@ -30,7 +30,6 @@ class TestValidation:
         ("batch_size", 0),
         ("batch_size", 257),
         ("batch_timeout_s", -1.0),
-        ("num_threads", 0),
         ("num_gpus", 0),
         ("streams_per_gpu", 0),
         ("thread_block_size", 0),

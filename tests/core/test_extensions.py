@@ -1,6 +1,4 @@
-"""Tests for the extension features: push delivery, partial replication."""
-
-import threading
+"""Tests for the extension features: partial replication."""
 
 import pytest
 
@@ -13,42 +11,6 @@ from repro.workloads import generate_twitter_workload
 @pytest.fixture(scope="module")
 def workload():
     return generate_twitter_workload(num_users=2000, seed=31)
-
-
-class TestOnResultCallback:
-    def test_callback_fires_for_every_query(self, workload):
-        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=0.01)
-        with TagMatch(cfg) as eng:
-            eng.add_signatures(workload.blocks, workload.keys)
-            eng.consolidate()
-            queries = workload.queries(50, seed=1)
-            delivered = {}
-            lock = threading.Lock()
-
-            def on_result(query_index, keys):
-                with lock:
-                    delivered[query_index] = keys
-
-            run = eng.match_stream(
-                queries.blocks, unique=True, on_result=on_result
-            )
-            assert sorted(delivered) == list(range(50))
-            for qi, keys in delivered.items():
-                assert keys.tolist() == run.results[qi].tolist()
-
-    def test_callback_fires_for_nonmatching_queries(self, workload):
-        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=0.01)
-        with TagMatch(cfg) as eng:
-            eng.add_signatures(workload.blocks[:100], workload.keys[:100])
-            eng.consolidate()
-            seen = []
-            lock = threading.Lock()
-            qs = eng.encode_queries([{f"none-{i}"} for i in range(10)])
-            eng.match_stream(
-                qs,
-                on_result=lambda qi, keys: (lock.acquire(), seen.append(qi), lock.release()),
-            )
-            assert sorted(seen) == list(range(10))
 
 
 class TestPartialReplication:

@@ -28,7 +28,6 @@ def build_engine(rows, keys, **knobs) -> TagMatch:
         max_partition_size=4,
         batch_size=8,
         batch_timeout_s=None,
-        num_threads=2,
         thread_block_size=3,
         **knobs,
     )
@@ -115,7 +114,7 @@ def test_fused_table_reduces_launches():
     ]
     keys = np.arange(len(rows), dtype=np.int64)
     queries = [tags_of(rng.choice(40, size=12, replace=False)) for _ in range(30)]
-    config = TagMatchConfig(max_partition_size=100, batch_timeout_s=None, num_threads=2)
+    config = TagMatchConfig(max_partition_size=100, batch_timeout_s=None)
     with TagMatch(config) as engine:
         for tags, key in zip(rows, keys):
             engine.add_set(tags, int(key))

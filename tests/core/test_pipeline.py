@@ -1,11 +1,18 @@
 """Tests for the four-stage matching pipeline."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
+from repro.core.partition_table import PartitionTable
 from repro.core.pipeline import grouped_key_lookup
+from repro.core.results import QueryState
+from repro.core.runner import UnitRunner
 
 
 def build_engine(**overrides):
@@ -13,7 +20,6 @@ def build_engine(**overrides):
         max_partition_size=16,
         batch_size=8,
         batch_timeout_s=0.01,
-        num_threads=4,
         num_gpus=2,
     )
     defaults.update(overrides)
@@ -33,6 +39,10 @@ def built():
     eng, tags, rng = build_engine()
     yield eng, tags, rng
     eng.close()
+
+
+def canonical(results):
+    return [sorted(r.tolist()) for r in results]
 
 
 def make_queries(tags, rng, n=64, size=10):
@@ -90,19 +100,57 @@ class TestCorrectness:
         for row, result in zip(tag_sets, run.results):
             assert sorted(result.tolist()) == sorted(eng.match(row).tolist())
 
-    @pytest.mark.parametrize(
-        ("threads", "pre", "lookup"),
-        [(1, 1, 0), (2, 1, 1), (3, 1, 2), (8, 4, 4)],
-    )
-    def test_worker_accounting_matches_num_threads(self, built, threads, pre, lookup):
-        """Total host workers equals num_threads (§4.3.3 thread sweep);
-        with one thread a single worker serves both queues."""
-        eng, tags, rng = built
-        qs = eng.encode_queries(make_queries(tags, rng, n=16))
-        run = eng.match_stream(qs, num_threads=threads)
-        assert run.stats.pre_workers == pre
-        assert run.stats.lookup_workers == lookup
-        assert run.stats.pre_workers + run.stats.lookup_workers == threads
+    def test_concurrent_callers_on_one_stream(self):
+        """Two threads matching on one engine share its only stream; the
+        stream lock keeps its reused result arena to one kernel at a time."""
+        eng, tags, rng = build_engine(num_gpus=1, streams_per_gpu=1)
+        blocks = [eng.encode_queries(make_queries(tags, rng, n=200)) for _ in range(2)]
+        expected = [canonical(eng.match_batch(b)) for b in blocks]
+        got = [None, None]
+        errors = []
+
+        def caller(i):
+            try:
+                got[i] = canonical(eng.match_stream(blocks[i]).results)
+            except Exception as exc:  # re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            eng.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert got == expected
+
+    def test_matching_starts_no_threads(self, monkeypatch):
+        """Every match path runs in the calling thread."""
+        launch = UnitRunner.launch
+        during = []
+
+        def counting_launch(self, *args, **kwargs):
+            during.append(threading.active_count())
+            return launch(self, *args, **kwargs)
+
+        monkeypatch.setattr(UnitRunner, "launch", counting_launch)
+        before = threading.active_count()
+        eng, tags, rng = build_engine()
+        qs = eng.encode_queries(make_queries(tags, rng, n=40))
+        eng.match(make_queries(tags, rng, n=1)[0])
+        eng.match_batch(qs)
+        eng.match_stream(qs)
+        eng.match_stream(qs, batch_timeout_s=0.01, arrival_rate_qps=4000.0)
+        assert threading.active_count() == before
+        eng.close()
+        assert threading.active_count() == before
+        assert during and set(during) == {before}
 
 
 class TestStatsAndLatency:
@@ -143,6 +191,44 @@ class TestStatsAndLatency:
         qs = eng.encode_queries(make_queries(tags, rng, n=12))
         run = eng.match_stream(qs, batch_timeout_s=0.005, arrival_rate_qps=400.0)
         assert run.stats.timeout_flushes > 0
+
+    def test_latency_counts_lag_behind_the_schedule(self, built, monkeypatch):
+        """A run that falls behind its arrival schedule times each query
+        from its chunk's scheduled release, not from when it got to it."""
+        eng, tags, rng = built
+        qs = eng.encode_queries(make_queries(tags, rng, n=64))
+        launch = UnitRunner.launch
+        relevant_matrix = PartitionTable.relevant_matrix
+        finalize = QueryState._finalize
+        pre_starts = []
+        done_at = {}
+
+        def slow_launch(self, *args, **kwargs):
+            time.sleep(0.005)
+            return launch(self, *args, **kwargs)
+
+        def timed_relevant_matrix(self, rows):
+            pre_starts.append(time.perf_counter())
+            return relevant_matrix(self, rows)
+
+        def timed_finalize(self):
+            finalize(self)
+            done_at[self.query_index] = self.complete_time
+
+        monkeypatch.setattr(UnitRunner, "launch", slow_launch)
+        monkeypatch.setattr(PartitionTable, "relevant_matrix", timed_relevant_matrix)
+        monkeypatch.setattr(QueryState, "_finalize", timed_finalize)
+        run = eng.match_stream(qs, arrival_rate_qps=2000.0)
+        assert len(pre_starts) == 2
+        # The run starts before the first chunk's pre-process, so the
+        # second chunk's scheduled release (32 queries at 2000 q/s) is no
+        # later than this, and its pre-process started `lag` late.
+        release = pre_starts[0] + 32 / 2000.0
+        lag = pre_starts[1] - release
+        assert lag > 0.005
+        # The last query's latency covers the lag as well as its own
+        # time from pre-process to merge.
+        assert run.latencies_s[63] >= (done_at[63] - pre_starts[1]) + lag
 
 
 class TestScaleAndStress:

@@ -1,6 +1,5 @@
 """Tests for per-query state, merge semantics, and partition batchers."""
 
-import threading
 import time
 
 import numpy as np
@@ -79,28 +78,6 @@ class TestQueryState:
             _ = state.latency_s
         state.preprocess_complete()
         assert state.latency_s >= 0
-
-    def test_wait_timeout(self):
-        state = QueryState(0, unique=False)
-        with pytest.raises(ReproError):
-            state.wait(timeout=0.01)
-
-    def test_concurrent_deliveries(self):
-        state = QueryState(0, unique=False)
-        n = 32
-        for _ in range(n):
-            state.add_batch()
-        state.preprocess_complete()
-        threads = [
-            threading.Thread(target=state.deliver_keys, args=(np.array([i]),))
-            for i in range(n)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state.done
-        assert sorted(state.result.tolist()) == list(range(n))
 
 
 def make_row(value):

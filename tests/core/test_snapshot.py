@@ -138,7 +138,8 @@ class TestGuards:
 def legacy_config(**overrides):
     """The 19-key config JSON written by releases that still had the
     ``fuse_partitions_below``/``coarse_prefilter`` options, the
-    ``replicate_tagset_table`` switch and the ``query_memo_size`` memo."""
+    ``replicate_tagset_table`` switch, the ``query_memo_size`` memo and
+    the ``num_threads`` pipeline thread count."""
     payload = {
         "width": 192,
         "num_hashes": 7,
@@ -190,9 +191,8 @@ class TestLegacySnapshots:
         finally:
             loaded.close()
 
-    def test_old_memo_size_is_dropped(self, arrays, workload, tmp_path):
-        path = str(tmp_path / "memo.npz")
-        arrays["config"] = legacy_config(query_memo_size=64)
+    def _assert_loads_and_matches(self, arrays, workload, path, config):
+        arrays["config"] = config
         np.savez_compressed(path, **arrays)
         loaded = TagMatch.load(path)
         try:
@@ -203,6 +203,16 @@ class TestLegacySnapshots:
             assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
         finally:
             loaded.close()
+
+    def test_old_memo_size_is_dropped(self, arrays, workload, tmp_path):
+        self._assert_loads_and_matches(
+            arrays, workload, str(tmp_path / "memo.npz"), legacy_config(query_memo_size=64)
+        )
+
+    def test_old_thread_count_is_dropped(self, arrays, workload, tmp_path):
+        self._assert_loads_and_matches(
+            arrays, workload, str(tmp_path / "threads.npz"), legacy_config(num_threads=8)
+        )
 
     def test_snapshot_stores_every_config_field(self):
         # A field added to or removed from the config must change the

@@ -55,7 +55,7 @@ def canonical(results):
 @settings(max_examples=40, deadline=None)
 @given(database=databases, queries=query_lists, knobs=knobs)
 def test_paths_agree_on_results_and_device_clocks(database, queries, knobs):
-    config = TagMatchConfig(batch_timeout_s=None, num_threads=2, **knobs)
+    config = TagMatchConfig(batch_timeout_s=None, **knobs)
     with TagMatch(config) as engine:
         for tags, key in database:
             engine.add_set(tags, key)

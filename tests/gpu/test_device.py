@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import CapacityError, DeviceError, StreamError
+from repro.errors import CapacityError, DeviceError
 from repro.gpu.device import Device
 from repro.gpu.memory import MemoryLedger
 from repro.gpu.timing import CostModel
@@ -100,38 +100,11 @@ class TestBuffers:
 
 
 class TestStreamPool:
-    def test_acquire_release_cycle(self, device):
-        s1 = device.acquire_stream()
-        s2 = device.acquire_stream()
-        assert s1 is not s2
-        with pytest.raises(StreamError):
-            device.acquire_stream(timeout=0.05)
-        device.release_stream(s1)
-        s3 = device.acquire_stream()
-        assert s3 is s1
-
-    def test_context_manager_releases(self, device):
-        with device.stream() as s:
-            assert s is not None
-        # Both streams available again.
-        a = device.acquire_stream(timeout=0.1)
-        b = device.acquire_stream(timeout=0.1)
-        device.release_stream(a)
-        device.release_stream(b)
-
-    def test_release_foreign_stream_rejected(self, device):
-        with Device(device_id=1, num_streams=1) as other:
-            foreign = other.acquire_stream()
-            with pytest.raises(StreamError):
-                device.release_stream(foreign)
-
     def test_closed_device_rejects_work(self):
         dev = Device(num_streams=1)
         dev.close()
         with pytest.raises(DeviceError):
             dev.htod(np.zeros(1, dtype=np.uint8))
-        with pytest.raises(DeviceError):
-            dev.acquire_stream()
 
     def test_num_streams_validated(self):
         with pytest.raises(DeviceError):

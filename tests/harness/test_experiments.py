@@ -30,8 +30,8 @@ class TestIcnBudget:
 
 class TestWorkloadCache:
     def test_default_config(self):
-        cfg = default_engine_config(num_threads=2)
-        assert cfg.num_threads == 2
+        cfg = default_engine_config(batch_size=64)
+        assert cfg.batch_size == 64
         assert cfg.num_gpus == 2
 
     def test_build_engine(self, tiny_workload):

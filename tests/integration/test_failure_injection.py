@@ -151,21 +151,28 @@ class TestPipelineRobustness:
             assert all(r.size > 0 for r in run.results[:20])
             assert all(r.size == 0 for r in run.results[20:])
 
-    def test_stream_raises_lookup_worker_failure(self, workload):
-        # A delivery callback that raises kills its lookup worker; the run
-        # re-raises that error instead of waiting on the queries left behind.
-        def fail(query_index, keys):
-            raise RuntimeError("delivery callback failed")
+    def test_stream_raises_lookup_worker_failure(self, workload, monkeypatch):
+        # A key lookup that raises leaves its batch's queries incomplete;
+        # the run raises that error instead of waiting on them, and the
+        # engine still serves afterwards.
+        from repro.core.key_table import KeyTable
 
-        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None, num_threads=2)
+        keys_of_many = KeyTable.keys_of_many
+
+        def fail(self, set_ids):
+            raise RuntimeError("key lookup failed")
+
+        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None)
         with TagMatch(cfg) as eng:
             eng.add_signatures(workload.blocks, workload.keys)
             eng.consolidate()
             blocks = workload.queries(32, seed=6).blocks
+            monkeypatch.setattr(KeyTable, "keys_of_many", fail)
             start = time.perf_counter()
-            with pytest.raises(RuntimeError, match="delivery callback failed"):
-                eng.match_stream(blocks, on_result=fail)
+            with pytest.raises(RuntimeError, match="key lookup failed"):
+                eng.match_stream(blocks)
             assert time.perf_counter() - start < 5.0
+            monkeypatch.setattr(KeyTable, "keys_of_many", keys_of_many)
             assert len(eng.match_stream(blocks).results) == 32
 
     def test_stream_raises_result_flush_failure(self, workload, monkeypatch):
@@ -177,7 +184,7 @@ class TestPipelineRobustness:
             raise RuntimeError("result flush failed")
 
         monkeypatch.setattr(DoubleBufferedResults, "flush", fail)
-        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None, num_threads=2)
+        cfg = TagMatchConfig(max_partition_size=64, batch_timeout_s=None)
         with TagMatch(cfg) as eng:
             eng.add_signatures(workload.blocks, workload.keys)
             eng.consolidate()

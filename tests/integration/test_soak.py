@@ -67,7 +67,7 @@ class TestSustainedStreams:
 
     def test_single_gpu_many_threads(self, workload):
         cfg = TagMatchConfig(
-            max_partition_size=64, num_gpus=1, num_threads=12, batch_timeout_s=0.01
+            max_partition_size=64, num_gpus=1, batch_timeout_s=0.01
         )
         with TagMatch(cfg) as eng:
             eng.add_signatures(workload.blocks, workload.keys)
