@@ -9,9 +9,11 @@ longest common prefix of all sets in the block and use it to *pre-filter*
 the query batch in shared memory (Algorithm 4) — the paper's single most
 significant kernel optimisation.
 
-Here one NumPy broadcast plays the role of one thread block: the loop
-over thread blocks is explicit (it is also the unit of pre-filtering),
-and everything inside a block is vectorized.
+Here each launch runs on the host in two vectorized steps.  The block
+level computes Algorithm 4's surviving (block, query) slots from the
+block prefixes.  The row level then matches the rows of alive blocks
+against the whole batch with ``containment_pairs``.  No step loops over
+thread blocks, and fused and singleton launches take the same path.
 
 Three hot-path refinements sit on top of the seed kernel:
 
@@ -25,9 +27,8 @@ Three hot-path refinements sit on top of the seed kernel:
   thread block's first (lexicographically minimal) row bounds the block
   from below: a subset of ``q`` is numerically ≤ ``q``, so blocks whose
   minimum exceeds the query are rejected without a containment scan.
-* **Zero-allocation outputs** — a :class:`ResultArena` owned by the
-  calling stream replaces the per-block list-append + ``concatenate``
-  with growable preallocated output arrays reused across invocations.
+* **Reused outputs** — a :class:`ResultArena` owned by the calling
+  stream holds growable output arrays reused across invocations.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.bloom.hashing import BLOCK_BITS
-from repro.bloom.ops import containment_matrix
+from repro.bloom.ops import containment_matrix, containment_pairs
 from repro.errors import ValidationError
 from repro.gpu.packing import pack_results, packed_size
 from repro.gpu.timing import CostModel, DeviceClock
@@ -108,11 +109,10 @@ class ResultArena:
 
     One arena is owned by one serial execution context — a stream, whose
     lock lets one kernel at a time write into it — and reused across
-    invocations, so the steady
-    state allocates nothing: the per-block match pairs are written
-    straight into the ``query_ids``/``set_ids`` arrays, boolean scratch
-    matrices back the containment calls, and :meth:`pack` emits the
-    §3.3.1 packed bytes into a resident buffer.
+    invocations: the match pairs are written into the
+    ``query_ids``/``set_ids`` arrays, a boolean scratch matrix holds the
+    block-level survive tile, and :meth:`pack` emits the §3.3.1 packed
+    bytes into a resident buffer.
     """
 
     def __init__(self, capacity_pairs: int = 1024) -> None:
@@ -323,16 +323,16 @@ def subset_match_kernel(
     member_commons, member_of_block:
         The hierarchical coarse pre-filter, run when ``member_commons``
         is given.  It holds one AND-of-rows summary per fused member and
-        ``member_of_block`` maps each thread block to its member; a
-        member whose common bits are not contained in a query rejects
-        every one of its blocks with a single containment row, and each
-        surviving block is additionally bounded below by its first row in
-        bit-string order.  Both checks are necessary conditions, so the
+        ``member_of_block`` maps each thread block to its member; with
+        both, a member whose common bits are not contained in a query
+        rejects every one of its blocks with a single containment row.
+        Each block is also bounded below by its first row in bit-string
+        order.  Both checks are necessary conditions, so the
         match set is bitwise identical to plain Algorithm 4's, which is
         what callers launching on raw partitions get by omitting them.
     arena:
         Optional caller-owned :class:`ResultArena` reused across
-        invocations (zero-allocation steady state).  The returned id
+        invocations.  The returned id
         arrays are views into it, valid until its next invocation.
     """
     if sets.ndim != 2 or queries.ndim != 2:
@@ -378,87 +378,47 @@ def subset_match_kernel(
     if prefilter:
         if prefixes is None:
             prefixes = block_prefixes_ranges(sets, starts, stops)
-        if member_commons is not None:
-            member_surv = None
-            if num_members > 1:
-                # Level 1: one containment row per member rejects whole
-                # partitions before any per-thread-block work.  With a
-                # single member the block prefixes already imply the
-                # member mask (prefix bits are a superset of the AND of
-                # all member rows), so the check is pure overhead there.
-                mob = member_of_block
-                if mob is None:
-                    mob = np.zeros(num_tblocks, dtype=np.int64)
-                member_surv = containment_matrix(member_commons, queries)
-            if member_surv is not None and not member_surv.any():
-                survive = arena.bools("survive", num_tblocks, batch_size)
-                survive[:] = False
-            else:
-                # Level 2: the Algorithm 4 prefix check per block, masked
-                # down to live members, plus the lexicographic lower
-                # bound of each block's first row.
-                survive = containment_matrix(
-                    prefixes, queries, out=arena.bools("survive", num_tblocks, batch_size)
-                )
-                if member_surv is not None:
-                    survive &= member_surv[mob]
-                survive &= _lex_le_matrix(sets[starts], queries)
-        else:
-            survive = containment_matrix(
-                prefixes, queries, out=arena.bools("survive", num_tblocks, batch_size)
-            )
-    else:
         survive = arena.bools("survive", num_tblocks, batch_size)
-        survive[:] = True
-
-    if num_members > 1:
-        # Fused launch: the per-block loop would cost one host-side
-        # iteration per tiny partition — exactly the overhead fusing is
-        # meant to amortise.  Gather every row of every surviving block
-        # and run one containment over the lot, masking each row down to
-        # the queries its block survived.  Rows stay in ascending order
-        # and np.nonzero is row-major, so the emitted (query, set) pairs
-        # are bitwise identical to the per-block loop's.
+        member_surv = None
+        if num_members > 1 and member_of_block is not None:
+            # Level 1: one containment row per member rejects whole
+            # partitions before any per-thread-block work.  With a single
+            # member the block prefixes already imply the member mask
+            # (prefix bits are a superset of the AND of all member rows),
+            # so the check is pure overhead there.
+            member_surv = containment_matrix(member_commons, queries)
+        if member_surv is not None and not member_surv.any():
+            survive[:] = False
+        else:
+            # Level 2: the Algorithm 4 prefix check per block, masked down
+            # to live members, plus (with the coarse pre-filter) the
+            # lexicographic lower bound of each block's first row.
+            containment_matrix(prefixes, queries, out=survive)
+            if member_surv is not None:
+                survive &= member_surv[member_of_block]
+            if member_commons is not None:
+                survive &= _lex_le_matrix(sets[starts], queries)
         surviving_slots = int(np.count_nonzero(survive))
         alive = survive.any(axis=1)
-        if alive.any():
-            row_block = np.repeat(
-                np.arange(num_tblocks, dtype=np.int64), stops - starts
-            )
-            rows_alive = np.nonzero(alive[row_block])[0]
-            matches = containment_matrix(
-                sets[rows_alive],
-                queries,
-                out=arena.bools("matches", rows_alive.size, batch_size),
-            )
-            matches &= survive[row_block[rows_alive]]
-            rows, cols = np.nonzero(matches)
-            if rows.size:
-                out_q, out_s = arena.append_slots(rows.size)
-                out_q[:] = cols
-                out_s[:] = ids[rows_alive[rows]]
     else:
-        surviving_slots = 0
-        for tb in range(num_tblocks):
-            q_idx = np.nonzero(survive[tb])[0]
-            if q_idx.size == 0:
-                continue
-            surviving_slots += q_idx.size
-            start = int(starts[tb])
-            stop = int(stops[tb])
-            chunk = sets[start:stop]
-            # (threads, surviving queries): thread t matches query j iff
-            # chunk[t] & ~query[j] == 0 in every block word (footnote 4).
-            matches = containment_matrix(
-                chunk,
-                queries if q_idx.size == batch_size else queries[q_idx],
-                out=arena.bools("matches", stop - start, q_idx.size),
-            )
-            rows, cols = np.nonzero(matches)
-            if rows.size:
-                out_q, out_s = arena.append_slots(rows.size)
-                out_q[:] = q_idx[cols]
-                out_s[:] = ids[start + rows]
+        surviving_slots = num_tblocks * batch_size
+        alive = np.ones(num_tblocks, dtype=bool)
+
+    # Algorithm 3 over the rows of alive blocks against the whole batch.
+    # Every filter above is a necessary condition for a match, so each
+    # pair found lies in a surviving (block, query) slot and needs no
+    # mask.  Rows ascend and the pairs come back row-major: the output is
+    # ordered by row, then query.
+    if alive.all():
+        rows, cols = containment_pairs(sets, queries)
+    else:
+        alive_rows = np.flatnonzero(np.repeat(alive, stops - starts))
+        rows, cols = containment_pairs(sets[alive_rows], queries)
+        rows = alive_rows[rows]
+    if rows.size:
+        out_q, out_s = arena.append_slots(rows.size)
+        out_q[:] = cols
+        out_s[:] = ids[rows]
 
     query_ids = arena.query_ids()
     found_ids = arena.set_ids()
@@ -489,9 +449,7 @@ def subset_match_kernel(
         num_threads=n,
         num_thread_blocks=num_tblocks,
         batch_size=batch_size,
-        surviving_query_slots=surviving_slots
-        if prefilter
-        else num_tblocks * batch_size,
+        surviving_query_slots=surviving_slots,
         num_pairs=int(query_ids.size),
         simulated_time_s=simulated,
         num_members=num_members,
