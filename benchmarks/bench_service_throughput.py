@@ -1,11 +1,11 @@
-"""Service sweep: ingress deadline × offered load, in-process.
+"""Service sweep over offered load, in-process.
 
 Starts a :class:`repro.service.server.MatchServer` on an ephemeral port
 and drives the open-loop Poisson load generator against it — one cell
-per (batch deadline, offered rate) pair.  The sweep reproduces the
-Figure 6 trade-off at the serving layer: a longer ingress deadline buys
-batch occupancy (throughput) at the price of publish latency, until
-admission control starts bouncing publishes under overload.
+per offered rate.  The server has no ingress timer: its one-run-in-flight
+matcher takes every publish queued behind the current run, so publishes
+per run (``batch_occupancy``) grow with load, until admission control
+starts bouncing publishes under overload.
 
 Writes machine-readable ``BENCH_service.json`` at the repo root plus the
 usual text table under ``benchmarks/results/service_throughput.txt``.
@@ -56,15 +56,9 @@ def build_engine(num_sets: int) -> TagMatch:
     return engine
 
 
-async def run_cell(
-    num_sets: int, deadline_ms: float, rate_qps: float, duration_s: float
-) -> dict:
+async def run_cell(num_sets: int, rate_qps: float, duration_s: float) -> dict:
     config = ServiceConfig(
         port=0,
-        ingress_batch_size=64,
-        batch_deadline_s=deadline_ms / 1e3,
-        min_deadline_s=min(1e-3, deadline_ms / 1e3),
-        max_deadline_s=max(0.1, deadline_ms / 1e3),
         reconsolidate_threshold=256,
         reconsolidate_interval_s=0.25,
     )
@@ -81,14 +75,13 @@ async def run_cell(
             sub_ratio=0.04,
             unsub_ratio=0.02,
             connections=4,
-            seed=int(deadline_ms * 1000 + rate_qps),
+            seed=int(rate_qps),
         )
         stats = server.stats()
     finally:
         await server.shutdown()
     pct = report.percentiles()
     return {
-        "deadline_ms": deadline_ms,
         "offered_qps": round(report.offered_qps, 1),
         "qps": round(report.qps, 1),
         "p50_ms": round(pct["p50_ms"], 2),
@@ -103,32 +96,29 @@ async def run_cell(
 def sweep(smoke: bool, json_path: str) -> ExperimentResult:
     num_sets = 400 if smoke else 2000
     duration_s = 1.5 if smoke else 5.0
-    deadlines_ms = (2.0, 10.0) if smoke else (1.0, 5.0, 10.0, 25.0)
-    rates = (300.0,) if smoke else (200.0, 500.0, 1000.0)
+    rates = (150.0, 300.0) if smoke else (200.0, 500.0, 1000.0, 2000.0)
 
     records = []
     rows = []
-    for deadline_ms in deadlines_ms:
-        for rate in rates:
-            record = asyncio.run(run_cell(num_sets, deadline_ms, rate, duration_s))
-            records.append(record)
-            rows.append(
-                [
-                    deadline_ms,
-                    record["offered_qps"],
-                    record["qps"],
-                    record["p50_ms"],
-                    record["p99_ms"],
-                    round(record["overload_rate"] * 100, 2),
-                    record["batch_occupancy"],
-                ]
-            )
-            print(
-                f"deadline={deadline_ms:5.1f}ms rate={rate:6.0f}/s: "
-                f"{record['qps']:7.1f} qps, p99={record['p99_ms']:6.1f}ms, "
-                f"occupancy={record['batch_occupancy']:5.1f}",
-                flush=True,
-            )
+    for rate in rates:
+        record = asyncio.run(run_cell(num_sets, rate, duration_s))
+        records.append(record)
+        rows.append(
+            [
+                record["offered_qps"],
+                record["qps"],
+                record["p50_ms"],
+                record["p99_ms"],
+                round(record["overload_rate"] * 100, 2),
+                record["batch_occupancy"],
+            ]
+        )
+        print(
+            f"rate={rate:6.0f}/s: "
+            f"{record['qps']:7.1f} qps, p99={record['p99_ms']:6.1f}ms, "
+            f"publishes/run={record['batch_occupancy']:5.1f}",
+            flush=True,
+        )
 
     with open(json_path, "w") as handle:
         json.dump(records, handle, indent=2)
@@ -137,23 +127,22 @@ def sweep(smoke: bool, json_path: str) -> ExperimentResult:
 
     return ExperimentResult(
         name="service_throughput",
-        title="Serving layer: ingress deadline vs offered load (open loop)",
+        title="Serving layer: offered load (open loop)",
         headers=[
-            "deadline ms",
             "offered q/s",
             "qps",
             "p50 ms",
             "p99 ms",
             "overload %",
-            "occupancy",
+            "pubs/run",
         ],
         rows=rows,
         notes=(
             "Open-loop Poisson publishes with 6% live sub/unsub mix over\n"
-            "the pub/sub server (repro.service).  Longer ingress deadlines\n"
-            "trade publish latency for batch occupancy — the Figure 6\n"
-            "throughput/latency knob, re-measured end to end through the\n"
-            "wire protocol, delta overlay, and background reconsolidation."
+            "the pub/sub server (repro.service), end to end through the\n"
+            "wire protocol, delta overlay, and background reconsolidation.\n"
+            "No publish waits on a timer: each pipeline run carries every\n"
+            "publish queued behind the one before it (pubs/run)."
         ),
         data={"records": records},
     )

@@ -81,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--gpus", type=int, default=1)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=7311)
-    p_serve.add_argument("--batch-size", type=int, default=64, dest="ingress_batch")
-    p_serve.add_argument(
-        "--deadline-ms", type=float, default=10.0, help="initial ingress flush deadline"
-    )
     p_serve.add_argument("--max-inflight", type=int, default=1024)
     p_serve.add_argument(
         "--reconsolidate-threshold",
@@ -233,8 +229,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ServiceConfig(
         host=args.host,
         port=args.port,
-        ingress_batch_size=args.ingress_batch,
-        batch_deadline_s=args.deadline_ms / 1e3,
         max_inflight=args.max_inflight,
         reconsolidate_threshold=args.reconsolidate_threshold,
         metrics_port=args.metrics_port,

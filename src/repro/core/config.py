@@ -12,6 +12,7 @@ Figure 5 is a model fed by the thread counts it sweeps (DESIGN.md §7).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.bloom.hashing import DEFAULT_NUM_HASHES, DEFAULT_WIDTH
 from repro.errors import ValidationError
@@ -117,27 +118,14 @@ class ServiceConfig:
     ----------
     host, port:
         TCP listen address; port 0 picks an ephemeral port (tests).
-    ingress_batch_size:
-        Publishes coalesced into one ingress batch.  Bounded by the
-        engine's 256-query packed-id limit, like ``batch_size``.  Under
-        load one pipeline run takes every batch queued behind it.
-    batch_deadline_s, min_deadline_s, max_deadline_s:
-        Flush deadline for partially filled ingress batches.  The
-        deadline adapts within ``[min, max]`` using the Figure 6
-        insight: a too-short timeout is pathological (half-empty
-        batches), a too-long one buys nothing once batches fill — so
-        full flushes and starved timeouts shrink it, busy timeouts
-        grow it.
     max_inflight:
-        Admission-control bound on publishes queued or matching.  Past
-        it the server replies ``OVERLOAD`` immediately (bounded-latency
-        rejection) instead of buffering without limit.
+        Admission-control bound on publishes queued or matching, and so
+        on the publishes one pipeline run can carry.  Past it the server
+        replies ``OVERLOAD`` immediately (bounded-latency rejection)
+        instead of buffering without limit.
     conn_inflight:
         Per-connection cap on outstanding publishes; a connection at
         the cap stops being read, which surfaces as TCP backpressure.
-    match_threads:
-        Unused by the server, which matches in one thread; kept because
-        ``perfbench/runners.py`` reads it.
     reconsolidate_threshold:
         Delta-store size (adds + tombstones) that triggers a background
         reconsolidation; ``0`` disables the automatic trigger (the
@@ -159,15 +147,17 @@ class ServiceConfig:
         Sliding window of the ``qps`` estimate in the stats verb.
     """
 
+    #: Not a setting: the server queues publishes for its matcher with
+    #: no ingress batch.  Only ``perfbench/runners.py`` reads it.
+    ingress_batch_size: ClassVar[int] = 64
+    #: Not a setting: the server matches in one thread.  Only
+    #: ``perfbench/runners.py`` reads it.
+    match_threads: ClassVar[int] = 2
+
     host: str = "127.0.0.1"
     port: int = 7311
-    ingress_batch_size: int = 64
-    batch_deadline_s: float = 0.01
-    min_deadline_s: float = 0.001
-    max_deadline_s: float = 0.1
     max_inflight: int = 1024
     conn_inflight: int = 256
-    match_threads: int = 2
     reconsolidate_threshold: int = 512
     reconsolidate_interval_s: float = 0.25
     max_frame_bytes: int = 8 * 1024 * 1024
@@ -176,27 +166,10 @@ class ServiceConfig:
     rate_window_s: float = 30.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.ingress_batch_size <= 256:
-            raise ValidationError(
-                "ingress_batch_size must be in [1, 256] (8-bit query ids), "
-                f"got {self.ingress_batch_size}"
-            )
-        if self.min_deadline_s <= 0:
-            raise ValidationError("min_deadline_s must be positive")
-        if not (
-            self.min_deadline_s <= self.batch_deadline_s <= self.max_deadline_s
-        ):
-            raise ValidationError(
-                "deadlines must satisfy min <= initial <= max: "
-                f"{self.min_deadline_s} <= {self.batch_deadline_s} "
-                f"<= {self.max_deadline_s}"
-            )
         if self.max_inflight <= 0:
             raise ValidationError("max_inflight must be positive")
         if self.conn_inflight <= 0:
             raise ValidationError("conn_inflight must be positive")
-        if self.match_threads <= 0:
-            raise ValidationError("match_threads must be positive")
         if self.reconsolidate_threshold < 0:
             raise ValidationError("reconsolidate_threshold must be non-negative")
         if self.reconsolidate_interval_s <= 0:

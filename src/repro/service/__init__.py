@@ -2,11 +2,11 @@
 
 The batch engine answers queries in-process; this package turns it into
 a long-running matching *service*: a framed TCP protocol with
-subscribe/unsubscribe/publish/stats verbs, an ingress batcher with an
-adaptive flush deadline, admission control with explicit ``OVERLOAD``
-rejections, and a live-update path (delta store + background
-reconsolidation with atomic epoch swaps) so the index evolves while
-matching never stops.  See DESIGN.md §9.
+subscribe/unsubscribe/publish/stats verbs, admission control with
+explicit ``OVERLOAD`` rejections, a work-conserving matcher whose
+pipeline runs grow with load (no ingress timer), and a live-update path
+(delta store + background reconsolidation with atomic epoch swaps) so
+the index evolves while matching never stops.  See DESIGN.md §9.
 """
 
 from repro.core.config import ServiceConfig

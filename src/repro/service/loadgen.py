@@ -6,10 +6,10 @@ discipline that actually exposes queueing collapse, unlike closed-loop
 clients that politely slow down with the server.  Each operation is a
 subscribe, unsubscribe, or publish per the configured mix; operations
 are pipelined round-robin over several connections so the server's
-ingress batcher sees genuinely concurrent traffic.
+matcher queue sees genuinely concurrent traffic.
 
 The report carries achieved qps, publish latency percentiles, and the
-overload-reject rate — the three axes of the Figure 6-style service
+overload-reject rate — the three axes of the offered-load service
 sweep (``benchmarks/bench_service_throughput.py``).
 """
 

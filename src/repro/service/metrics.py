@@ -2,8 +2,9 @@
 
 Counters are mutated from the event-loop thread only; ``snapshot()``
 renders a JSON-safe dict with the quantities the benchmarks and the
-acceptance criteria care about: qps, batch occupancy, latency
-percentiles, delta size, reconsolidation count, and overload rejects.
+acceptance criteria care about: qps, publishes per pipeline run,
+latency percentiles, delta size, reconsolidation count, and overload
+rejects.
 
 Since the observability layer landed, :class:`ServiceMetrics` is a thin
 façade over one :class:`repro.obs.registry.Registry`:
@@ -41,8 +42,6 @@ _COUNTER_ATTRS = (
     "unsubscribes",
     "overloads",
     "errors",
-    "batches",
-    "batched_queries",
     "match_runs",
     "reconsolidations",
     "trace_dropped_spans",
@@ -71,11 +70,8 @@ class ServiceMetrics:
         self.unsubscribes = 0
         self.overloads = 0
         self.errors = 0
-        self.batches = 0
-        self.batched_queries = 0
-        self.flush_reasons = {"full": 0, "timeout": 0, "shutdown": 0}
         #: Pipeline runs and the publishes they carried: a run coalesces
-        #: every ingress batch queued while the previous run was going.
+        #: every publish queued while the previous run was going.
         self.match_runs = 0
         self.run_queries = 0
         self.reconsolidations = 0
@@ -95,11 +91,6 @@ class ServiceMetrics:
         self.registry.register_collector(self._mirror_counters)
 
     # ------------------------------------------------------------------
-    def record_batch(self, occupancy: int, reason: str) -> None:
-        self.batches += 1
-        self.batched_queries += occupancy
-        self.flush_reasons[reason] = self.flush_reasons.get(reason, 0) + 1
-
     def record_run(self, publishes: int) -> None:
         self.match_runs += 1
         self.run_queries += publishes
@@ -143,9 +134,6 @@ class ServiceMetrics:
         for attr in _COUNTER_ATTRS:
             counter = self.registry.counter(f"repro_{attr}_total")
             counter.inc(getattr(self, attr) - counter.value)
-        for reason, count in self.flush_reasons.items():
-            counter = self.registry.counter("repro_flushes_total", reason=reason)
-            counter.inc(count - counter.value)
         self.registry.gauge("repro_publish_rate_qps").set(self._rate.rate())
         self.registry.gauge("repro_uptime_seconds").set(
             self._clock() - self.started_at
@@ -173,12 +161,14 @@ class ServiceMetrics:
         epoch: int,
         delta_size: int,
         inflight: int,
-        deadline_s: float,
         connections: int,
         device: dict | None = None,
     ) -> dict:
         elapsed = max(self._clock() - self.started_at, 1e-9)
         lat = self.latency.snapshot()
+        run_occupancy = (
+            self.run_queries / self.match_runs if self.match_runs else 0.0
+        )
         return {
             "uptime_s": elapsed,
             #: Windowed rate — an idle window reads 0.0 and recovers
@@ -190,18 +180,16 @@ class ServiceMetrics:
             "unsubscribes": self.unsubscribes,
             "overloads": self.overloads,
             "errors": self.errors,
-            "batches": self.batches,
-            "batch_occupancy": (
-                self.batched_queries / self.batches if self.batches else 0.0
-            ),
-            "flush_reasons": dict(self.flush_reasons),
             "match_runs": self.match_runs,
-            #: Publishes per pipeline run; above ``batch_occupancy`` when
-            #: runs coalesce several ingress batches.
-            "run_occupancy": (
-                self.run_queries / self.match_runs if self.match_runs else 0.0
-            ),
-            "batch_deadline_ms": deadline_s * 1e3,
+            #: Publishes per pipeline run.
+            "run_occupancy": run_occupancy,
+            #: The ingress-batch keys, defined over runs: a run is the
+            #: only batch a publish joins, and no publish waits on a
+            #: flush timer.
+            "batches": self.match_runs,
+            "batch_occupancy": run_occupancy,
+            "flush_reasons": {},
+            "batch_deadline_ms": 0.0,
             "latency": {
                 "p50_ms": lat["p50_s"] * 1e3,
                 "p90_ms": lat["p90_s"] * 1e3,

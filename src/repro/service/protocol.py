@@ -3,7 +3,7 @@
 A frame is a 4-byte big-endian unsigned length followed by a UTF-8 JSON
 object.  Requests carry an ``id`` (client-chosen, echoed verbatim) and a
 ``verb``; responses carry the same ``id`` and ``ok``.  Replies may
-arrive out of order — publishes are answered when their ingress batch
+arrive out of order — publishes are answered when their pipeline run
 completes, while subscribes and stats answer immediately — so clients
 pipeline requests and demultiplex on ``id`` (:class:`ServiceClient`
 does this with one reader task and a future per request).
@@ -108,8 +108,8 @@ class ServiceClient:
 
     One background task reads reply frames and resolves the future of
     the request with the matching ``id``, so any number of requests can
-    be in flight at once — which is what lets the server's ingress
-    batcher actually fill batches.
+    be in flight at once — which is what lets the server's matcher
+    carry many publishes per pipeline run.
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:

@@ -4,17 +4,18 @@ Architecture (per the paper's §6 future work — TagMatch inside a full
 messaging system):
 
 - One asyncio event loop owns all bookkeeping: connections, the delta
-  store, the ingress batcher, admission counters, and epoch swaps.  No
-  locks — matcher threads only ever see immutable snapshots.
+  store, the matcher queue, admission counters, and epoch swaps.  No
+  locks — the matcher's worker thread only ever sees immutable
+  snapshots.
 - Publishes are admitted (bounded in-flight queue, else an immediate
-  ``OVERLOAD`` reply), encoded, and coalesced by the ingress batcher.
-  The publish path is work-conserving: one matcher task keeps at most
-  one pipeline run in flight, and every ingress batch flushed while a
-  run is going queues up and rides the next run together.  A run is
-  one ``engine.match_stream`` over the stacked rows in a worker thread,
-  then the delta overlay (:func:`repro.service.delta.apply_delta`),
-  then replies — so under load the kernel sees full per-partition
-  batches (Figure 6), while an idle server still runs each batch alone.
+  ``OVERLOAD`` reply), encoded, and appended to the matcher queue.  The
+  publish path is work-conserving: one matcher task keeps at most one
+  pipeline run in flight, and every publish queued while a run is going
+  rides the next run together.  A run is one ``engine.match_stream``
+  over the stacked rows in a worker thread, then the delta overlay
+  (:func:`repro.service.delta.apply_delta`), then replies — so under
+  load the kernel sees full per-partition batches (Figure 6), while an
+  idle server runs a publish at once, with no timer to wait on.
 - Subscribes/unsubscribes mutate the delta store immediately — no
   ``consolidate()`` on the hot path — and a background task rebuilds
   the frozen index once the delta grows past a threshold, swapping the
@@ -32,21 +33,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.batch import Batch
 from repro.core.config import ServiceConfig
 from repro.core.engine import TagMatch
 from repro.errors import ValidationError
 from repro.obs import trace
 from repro.obs.export import MetricsServer, render_prometheus
 from repro.obs.trace import stage_summary
-from repro.service.batcher import AdaptiveDeadline, IngressBatcher
 from repro.service.delta import DeltaStore, DeltaView, apply_delta
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import ProtocolError, read_frame, write_frame
 
 __all__ = ["MatchServer", "serve_until_interrupted"]
 
-#: Drain budget for in-flight batches during graceful shutdown.
+#: Drain budget for admitted publishes during graceful shutdown.
 _DRAIN_TIMEOUT_S = 30.0
 
 
@@ -97,23 +96,13 @@ class MatchServer:
         self._hasher = engine.hasher
         self.delta = DeltaStore(engine.hasher.num_blocks)
         self.delta.rebase(engine.database.blocks, engine.database.keys)
-        self._batcher = IngressBatcher(
-            self._on_flush,
-            self.config.ingress_batch_size,
-            engine.hasher.num_blocks,
-            AdaptiveDeadline(
-                self.config.batch_deadline_s,
-                self.config.min_deadline_s,
-                self.config.max_deadline_s,
-            ),
-        )
         self._conns: set[_Conn] = set()
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
-        #: Ingress batches flushed while a run is in flight; the matcher
-        #: takes all of them as its next run.
-        self._queued: list[Batch] = []
+        #: Admitted publishes not yet in a run; the matcher takes all of
+        #: them as its next run.
+        self._queued: list[tuple[np.ndarray, _PubTicket]] = []
         self._matcher: asyncio.Task | None = None
         #: The engine the in-flight run leased (``None`` when idle): a
         #: swapped-out engine is closed only once no run uses it.
@@ -154,7 +143,7 @@ class MatchServer:
         return self._metrics_server.port if self._metrics_server else None
 
     async def shutdown(self) -> None:
-        """Graceful stop: drain in-flight batches, then close the engine.
+        """Graceful stop: drain admitted publishes, then close the engine.
 
         With a ``snapshot_path``, the surviving delta is folded into a
         final reconsolidation and the index saved, so a restart resumes
@@ -170,7 +159,6 @@ class MatchServer:
             await self._server.wait_closed()
         if self._metrics_server is not None:
             await self._metrics_server.close()
-        self._batcher.flush_now("shutdown")
         try:
             await asyncio.wait_for(self._idle.wait(), timeout=_DRAIN_TIMEOUT_S)
         except asyncio.TimeoutError:
@@ -181,7 +169,6 @@ class MatchServer:
             await asyncio.to_thread(self.engine.save, self.snapshot_path)
         for conn in list(self._conns):
             conn.writer.close()
-        self._batcher.close()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         await asyncio.to_thread(self.engine.close)
@@ -246,8 +233,17 @@ class MatchServer:
                     {"id": req_id, "ok": True, "trace": self.trace_summary(limit)},
                 )
             elif verb == "reconsolidate":
-                epoch = await self.reconsolidate()
-                await self._send(conn, {"id": req_id, "ok": True, "epoch": epoch})
+                try:
+                    epoch = await self.reconsolidate()
+                    reply = {"id": req_id, "ok": True, "epoch": epoch}
+                except Exception as exc:  # noqa: BLE001 - keep serving on the old epoch
+                    self.metrics.errors += 1
+                    reply = {
+                        "id": req_id,
+                        "ok": False,
+                        "error": f"reconsolidate_failed: {exc}",
+                    }
+                await self._send(conn, reply)
             elif verb == "ping":
                 await self._send(conn, {"id": req_id, "ok": True})
             else:
@@ -298,7 +294,11 @@ class MatchServer:
         )
         self._inflight += 1
         self._idle.clear()
-        self._batcher.add(row, ticket)
+        self._queued.append((row, ticket))
+        if self._matcher is None:
+            # A task, not a direct call: publishes read in this loop
+            # turn still join the first run.
+            self._matcher = self._spawn(self._match_loop())
 
     def _spawn(self, coro) -> asyncio.Task:
         """Start a task that shutdown waits for."""
@@ -307,34 +307,28 @@ class MatchServer:
         task.add_done_callback(self._tasks.discard)
         return task
 
-    def _on_flush(self, batch: Batch, reason: str) -> None:
-        self.metrics.record_batch(len(batch), reason)
-        self._queued.append(batch)
-        if self._matcher is None:
-            self._matcher = self._spawn(self._match_loop())
-
     async def _match_loop(self) -> None:
-        """Run queued batches until none are left, one run at a time.
+        """Run queued publishes until none are left, one run at a time.
 
-        Each run takes every batch queued so far: while a run is in
-        flight, flushed batches pile up and ride the next run together.
+        Each run takes every publish queued so far: while a run is in
+        flight, publishes pile up and ride the next run together.
         """
         try:
             while self._queued:
-                batches, self._queued = self._queued, []
-                await self._run(batches)
+                queued, self._queued = self._queued, []
+                await self._run(queued)
         finally:
             self._matcher = None
 
-    async def _run(self, batches: list[Batch]) -> None:
-        """One pipeline run over the stacked batches, then per-ticket replies.
+    async def _run(self, queued: list[tuple[np.ndarray, _PubTicket]]) -> None:
+        """One pipeline run over the stacked rows, then per-ticket replies.
 
         The run sees one delta view and one engine, so every reply in it
         carries the same epoch.  The matcher does not wait for the
         replies to be written (see :meth:`_fan_out`).
         """
-        tickets: list[_PubTicket] = [t for batch in batches for t in batch.states]
-        blocks = np.vstack([batch.queries for batch in batches])
+        tickets = [ticket for _, ticket in queued]
+        blocks = np.vstack([row for row, _ in queued])
         self.metrics.record_run(len(tickets))
         unique_flags = [t.unique for t in tickets]
         view = self.delta.view()
@@ -402,8 +396,8 @@ class MatchServer:
 
         The frozen run always uses multiset semantics so tombstone
         subtraction is exact; per-query ``unique`` is applied after the
-        overlay.  No inner flush timeout: the ingress batcher already
-        decided each batch's latency budget.
+        overlay.  No inner flush timeout: a run is everything queued when
+        it starts, so waiting on a timer could only add latency.
         """
         run = engine.match_stream(blocks, unique=False, batch_timeout_s=None)
         results = apply_delta(run.results, blocks, view, unique_flags)
@@ -508,9 +502,6 @@ class MatchServer:
         reg.gauge("repro_connections").set(len(self._conns))
         reg.gauge("repro_delta_size").set(self.delta.size)
         reg.gauge("repro_epoch").set(self.engine.epoch)
-        reg.gauge("repro_batch_deadline_seconds").set(
-            self._batcher.deadline.current_s
-        )
         # Device clocks are gauges, not counters: a reconsolidation
         # swaps in a fresh engine whose clocks restart at zero.
         for dev in self.engine.devices:
@@ -558,7 +549,6 @@ class MatchServer:
             epoch=self.engine.epoch,
             delta_size=self.delta.size,
             inflight=self._inflight,
-            deadline_s=self._batcher.deadline.current_s,
             connections=len(self._conns),
             device={
                 str(dev.device_id): dev.clock.snapshot()

@@ -24,7 +24,6 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.index is None
         assert args.port == 7311
-        assert args.ingress_batch == 64
         assert args.save_on_exit is None
 
     def test_loadgen_defaults(self):

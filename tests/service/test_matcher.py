@@ -1,7 +1,7 @@
 """The work-conserving publish path: one pipeline run in flight at a time.
 
-Ingress batches flushed while a run is going queue up and ride the next
-run together.  These tests hold a run open with a gated engine, so the
+Publishes admitted while a run is going queue up and ride the next run
+together.  These tests hold a run open with a gated engine, so the
 queueing is deterministic, and check every reply against
 ``LinearScanMatcher`` over the subscription multiset the run saw.
 
@@ -11,7 +11,6 @@ No pytest-asyncio in the image, so each test drives its own loop with
 
 import asyncio
 import socket
-import threading
 
 import numpy as np
 
@@ -40,30 +39,6 @@ QUERIES = [
 ]
 
 
-class _GatedEngine:
-    """Wraps an engine's ``match_stream``: records each run's size, holds
-    the first run until :meth:`open`, and can fail chosen runs."""
-
-    def __init__(self, engine: TagMatch, fail_runs: tuple[int, ...] = ()) -> None:
-        self.sizes: list[int] = []
-        self._gate = threading.Event()
-        self._fail_runs = fail_runs
-        self._inner = engine.match_stream
-        engine.match_stream = self._match_stream
-
-    def _match_stream(self, blocks, **kwargs):
-        run_no = len(self.sizes)
-        self.sizes.append(len(blocks))
-        if run_no == 0:
-            self._gate.wait(timeout=10)
-        if run_no in self._fail_runs:
-            raise RuntimeError("injected kernel fault")
-        return self._inner(blocks, **kwargs)
-
-    def open(self) -> None:
-        self._gate.set()
-
-
 def _engine() -> TagMatch:
     engine = TagMatch(
         TagMatchConfig(max_partition_size=2, num_gpus=1, batch_timeout_s=None)
@@ -74,18 +49,11 @@ def _engine() -> TagMatch:
     return engine
 
 
-async def _serve(fail_runs: tuple[int, ...] = (), **overrides):
-    config = dict(
-        port=0,
-        ingress_batch_size=4,
-        batch_deadline_s=0.002,
-        min_deadline_s=0.001,
-        max_deadline_s=0.005,
-        reconsolidate_threshold=0,
-    )
+async def _serve(gated, fail_runs: tuple[int, ...] = (), **overrides):
+    config = dict(port=0, reconsolidate_threshold=0)
     config.update(overrides)
     engine = _engine()
-    gate = _GatedEngine(engine, fail_runs)
+    gate = gated(engine, fail_runs)
     server = MatchServer(engine, ServiceConfig(**config))
     await server.start()
     client = await ServiceClient.connect("127.0.0.1", server.port)
@@ -115,16 +83,15 @@ def _publish(client, tags, unique=False):
     return asyncio.get_running_loop().create_task(client.publish(tags, unique=unique))
 
 
-def test_batches_queued_behind_a_run_ride_the_next_run_together():
+def test_batches_queued_behind_a_run_ride_the_next_run_together(gated):
     async def run():
-        server, client, gate = await _serve()
+        server, client, gate = await _serve(gated)
         try:
             first = _publish(client, QUERIES[0])
             await _until(lambda: gate.sizes == [1])
             queued = [_publish(client, QUERIES[i % len(QUERIES)]) for i in range(14)]
-            # 14 publishes at batch size 4 flush as at least four ingress
-            # batches, all queued behind the held run.
-            await _until(lambda: server.metrics.batched_queries == 15)
+            # All 14 publishes queue behind the held run.
+            await _until(lambda: server._inflight == 15)
             gate.open()
             replies = await asyncio.gather(first, *queued)
 
@@ -132,8 +99,8 @@ def test_batches_queued_behind_a_run_ride_the_next_run_together():
             stats = await client.stats()
             assert stats["match_runs"] == 2
             assert stats["run_occupancy"] == 7.5
-            assert stats["batches"] >= 5
-            assert stats["batch_occupancy"] == 15 / stats["batches"]
+            assert stats["batches"] == 2
+            assert stats["batch_occupancy"] == 7.5
 
             oracle = _oracle(server.engine, ASSOCIATIONS)
             publishes = [QUERIES[0]] + [QUERIES[i % len(QUERIES)] for i in range(14)]
@@ -148,9 +115,11 @@ def test_batches_queued_behind_a_run_ride_the_next_run_together():
     asyncio.run(run())
 
 
-def test_coalesced_run_keeps_per_ticket_unique_and_sees_updates_made_before_it():
+def test_coalesced_run_keeps_per_ticket_unique_and_sees_updates_made_before_it(
+    gated,
+):
     async def run():
-        server, client, gate = await _serve()
+        server, client, gate = await _serve(gated)
         try:
             held = _publish(client, ["a", "b", "c"])
             await _until(lambda: gate.sizes == [1])
@@ -162,7 +131,7 @@ def test_coalesced_run_keeps_per_ticket_unique_and_sees_updates_made_before_it()
             assert await client.unsubscribe(["a", "b"], key=1)
             mixed = [(QUERIES[i % len(QUERIES)], i % 3 == 0) for i in range(12)]
             queued = [_publish(client, tags, unique) for tags, unique in mixed]
-            await _until(lambda: server.metrics.batched_queries == 13)
+            await _until(lambda: server._inflight == 13)
             gate.open()
             held_keys, _ = await held
             replies = await asyncio.gather(*queued)
@@ -194,19 +163,15 @@ def test_coalesced_run_keeps_per_ticket_unique_and_sees_updates_made_before_it()
     asyncio.run(run())
 
 
-def test_shutdown_with_batches_still_queued_answers_every_publish():
+def test_shutdown_with_batches_still_queued_answers_every_publish(gated):
     async def run():
-        server, client, gate = await _serve(
-            batch_deadline_s=0.2, max_deadline_s=0.5
-        )
+        server, client, gate = await _serve(gated)
         try:
             held = _publish(client, ["a"])
             await _until(lambda: gate.sizes == [1])
-            # Two full batches queue; two more publishes sit in the
-            # batcher until the shutdown flush.
+            # Ten publishes queue behind the held run.
             queued = [_publish(client, QUERIES[i % len(QUERIES)]) for i in range(10)]
-            await _until(lambda: server.metrics.batched_queries == 9)
-            assert server._batcher.pending == 2
+            await _until(lambda: server._inflight == 11)
             stopping = asyncio.get_running_loop().create_task(server.shutdown())
             await asyncio.sleep(0.02)
             assert not stopping.done()
@@ -215,7 +180,6 @@ def test_shutdown_with_batches_still_queued_answers_every_publish():
             replies = await asyncio.gather(held, *queued)
             assert all(isinstance(keys, list) for keys, _ in replies)
             assert gate.sizes == [1, 10]
-            assert server.metrics.flush_reasons["shutdown"] == 1
             assert server.metrics.publishes == 11
         finally:
             gate.open()
@@ -225,10 +189,10 @@ def test_shutdown_with_batches_still_queued_answers_every_publish():
     asyncio.run(run())
 
 
-def test_failed_run_fails_every_ticket_in_it_and_releases_admission():
+def test_failed_run_fails_every_ticket_in_it_and_releases_admission(gated):
     async def run():
         server, client, gate = await _serve(
-            fail_runs=(1,), conn_inflight=12, max_inflight=16
+            gated, fail_runs=(1,), conn_inflight=12, max_inflight=16
         )
         try:
             held = _publish(client, ["a"])
@@ -239,7 +203,7 @@ def test_failed_run_fails_every_ticket_in_it_and_releases_admission():
                 )
                 for i in range(11)
             ]
-            await _until(lambda: server.metrics.batched_queries == 12)
+            await _until(lambda: server._inflight == 12)
             gate.open()
             keys, _ = await held
             assert keys == [2]
@@ -271,9 +235,9 @@ def test_failed_run_fails_every_ticket_in_it_and_releases_admission():
     asyncio.run(run())
 
 
-def test_swap_while_a_run_is_in_flight_closes_the_old_engine_after_it():
+def test_swap_while_a_run_is_in_flight_closes_the_old_engine_after_it(gated):
     async def run():
-        server, client, gate = await _serve()
+        server, client, gate = await _serve(gated)
         try:
             old = server.engine
             held = _publish(client, ["a", "b"])
@@ -297,9 +261,9 @@ def test_swap_while_a_run_is_in_flight_closes_the_old_engine_after_it():
     asyncio.run(run())
 
 
-def test_a_client_that_stops_reading_does_not_stall_other_connections():
+def test_a_client_that_stops_reading_does_not_stall_other_connections(gated):
     async def run():
-        server, client, gate = await _serve(conn_inflight=8, max_inflight=64)
+        server, client, gate = await _serve(gated, conn_inflight=8, max_inflight=64)
         gate.open()
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sending = None

@@ -22,7 +22,7 @@ class FakeClock:
 
 def snap(metrics, **over):
     defaults = dict(
-        epoch=1, delta_size=0, inflight=0, deadline_s=0.01, connections=0
+        epoch=1, delta_size=0, inflight=0, connections=0
     )
     defaults.update(over)
     return metrics.snapshot(**defaults)
@@ -104,14 +104,13 @@ def test_registry_mirrors_attribute_counters():
     m = ServiceMetrics()
     m.subscribes += 3
     m.overloads += 1
-    m.record_batch(10, "timeout")
+    m.record_run(10)
     m.record_publish(0.001)
     reg = m.registry.snapshot()
     assert reg["repro_subscribes_total"] == 3
     assert reg["repro_overloads_total"] == 1
-    assert reg["repro_batches_total"] == 1
+    assert reg["repro_match_runs_total"] == 1
     assert reg["repro_publishes_total"] == 1
-    assert reg["repro_flushes_total"]["reason=timeout"] == 1
     # Render twice: the delta-sync must not double count.
     assert m.registry.snapshot()["repro_subscribes_total"] == 3
 
@@ -139,24 +138,43 @@ def test_snapshot_keeps_seed_keys_and_adds_device_section():
 
 
 # ----------------------------------------------------------------------
-# Coalescing: pipeline runs vs ingress batches
+# Coalescing: publishes per pipeline run
 # ----------------------------------------------------------------------
 def test_match_runs_and_run_occupancy_in_stats_and_prometheus():
     m = ServiceMetrics()
     assert snap(m)["run_occupancy"] == 0.0
-    for _ in range(3):
-        m.record_batch(4, "full")
     m.record_run(2)
     m.record_run(10)
     stats = snap(m)
     assert stats["match_runs"] == 2
     assert stats["run_occupancy"] == 6.0
-    assert stats["batches"] == 3 and stats["batch_occupancy"] == 4.0
     text = render_prometheus(m.registry)
     assert "repro_match_runs_total 2" in text
     assert "repro_match_run_publishes_count 2" in text
     assert "repro_match_run_publishes_sum 12" in text
     assert 'repro_match_run_publishes_bucket{le="2.0"} 1' in text
+
+
+def test_ingress_batch_keys_are_defined_over_runs():
+    """The four ingress-batch keys ``perfbench/runners.py`` reads stay,
+    with run-based values: no publish waits on a flush timer."""
+    m = ServiceMetrics()
+    stats = snap(m)
+    assert stats["batches"] == 0 and stats["batch_occupancy"] == 0.0
+    m.record_run(2)
+    m.record_run(10)
+    stats = snap(m)
+    assert stats["batches"] == stats["match_runs"] == 2
+    assert stats["batch_occupancy"] == stats["run_occupancy"] == 6.0
+    assert stats["flush_reasons"] == {}
+    assert stats["batch_deadline_ms"] == 0.0
+    text = render_prometheus(m.registry)
+    for family in (
+        "repro_batches_total",
+        "repro_batched_queries_total",
+        "repro_flushes_total",
+    ):
+        assert family not in text
 
 
 # ----------------------------------------------------------------------

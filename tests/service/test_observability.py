@@ -37,9 +37,6 @@ def _engine():
 async def _serve(**overrides):
     defaults = dict(
         port=0,
-        batch_deadline_s=0.005,
-        min_deadline_s=0.001,
-        max_deadline_s=0.05,
         reconsolidate_threshold=0,
     )
     defaults.update(overrides)
@@ -111,6 +108,8 @@ def test_metrics_endpoint_serves_prometheus_exposition():
             assert "repro_publishes_total 3" in body
             assert "repro_publish_latency_seconds_count 3" in body
             assert 'repro_device_launches{device="0"}' in body
+            assert "repro_match_runs_total 3" in body
+            assert "deadline" not in body  # no ingress timer to report
         finally:
             await client.close()
             await server.shutdown()

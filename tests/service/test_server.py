@@ -27,9 +27,6 @@ def _engine(associations) -> TagMatch:
 def _config(**overrides) -> ServiceConfig:
     defaults = dict(
         port=0,
-        batch_deadline_s=0.005,
-        min_deadline_s=0.001,
-        max_deadline_s=0.05,
         reconsolidate_threshold=0,  # no background rebuilds unless asked
     )
     defaults.update(overrides)
@@ -41,6 +38,13 @@ async def _serve(associations, **overrides):
     await server.start()
     client = await ServiceClient.connect("127.0.0.1", server.port)
     return server, client
+
+
+async def _until(predicate, timeout_s: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout_s
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "condition never held"
+        await asyncio.sleep(0.002)
 
 
 def test_live_subscribe_unsubscribe_and_multiset_semantics():
@@ -93,32 +97,31 @@ def test_live_subscribe_unsubscribe_and_multiset_semantics():
     asyncio.run(run())
 
 
-def test_overload_rejects_with_bounded_latency():
+def test_overload_rejects_with_bounded_latency(gated):
     async def run():
-        # max_inflight=2 and a long deadline: the first publishes sit in
-        # the batcher, the rest must bounce immediately.
-        server, client = await _serve(
-            [(("a",), 1)],
-            max_inflight=2,
-            ingress_batch_size=256,
-            batch_deadline_s=0.1,
-            max_deadline_s=0.2,
-        )
+        # max_inflight=2 and the first run held open: two publishes are
+        # admitted, the rest must bounce while the run is still held.
+        server, client = await _serve([(("a",), 1)], max_inflight=2)
+        gate = gated(server.engine)
         try:
-            outcomes = await asyncio.gather(
-                *(client.publish(["a"]) for _ in range(12)),
-                return_exceptions=True,
-            )
+            publishes = [
+                asyncio.get_running_loop().create_task(client.publish(["a"]))
+                for _ in range(12)
+            ]
+            await _until(lambda: sum(p.done() for p in publishes) == 10)
+            assert not any(p.done() for p in publishes[:2])
+            gate.open()
+            outcomes = await asyncio.gather(*publishes, return_exceptions=True)
             rejected = [o for o in outcomes if isinstance(o, OverloadedError)]
             served = [o for o in outcomes if isinstance(o, tuple)]
-            assert len(rejected) >= 1
-            assert len(served) >= 2
-            assert len(rejected) + len(served) == 12
+            assert len(rejected) == 10
+            assert len(served) == 2
             for keys, _ in served:
                 assert keys == [1]
             stats = await client.stats()
             assert stats["overloads"] == len(rejected)
         finally:
+            gate.open()
             await client.close()
             await server.shutdown()
 
@@ -157,21 +160,27 @@ def test_reconsolidation_swaps_epochs_under_load():
     asyncio.run(run())
 
 
-def test_graceful_shutdown_drains_pending_publishes():
+def test_graceful_shutdown_drains_pending_publishes(gated):
     async def run():
-        server, client = await _serve(
-            [(("a",), 1)],
-            ingress_batch_size=256,
-            batch_deadline_s=0.1,
-            max_deadline_s=0.2,
-        )
+        server, client = await _serve([(("a",), 1)])
+        gate = gated(server.engine)
         try:
-            pending = asyncio.get_running_loop().create_task(client.publish(["a"]))
-            await asyncio.sleep(0.01)  # let it land in the batcher
-            await server.shutdown()
-            keys, _ = await pending
-            assert keys == [1]
+            loop = asyncio.get_running_loop()
+            held = loop.create_task(client.publish(["a"]))
+            await _until(lambda: gate.sizes == [1])
+            queued = loop.create_task(client.publish(["a"]))
+            await _until(lambda: server._inflight == 2)
+            # Shutdown waits for the held run and the one queued behind it.
+            stopping = loop.create_task(server.shutdown())
+            await asyncio.sleep(0.02)
+            assert not stopping.done()
+            gate.open()
+            await stopping
+            assert (await held)[0] == [1]
+            assert (await queued)[0] == [1]
+            assert gate.sizes == [1, 1]
         finally:
+            gate.open()
             await client.close()
 
     asyncio.run(run())
@@ -196,6 +205,62 @@ def test_bad_requests_get_error_replies_not_disconnects():
             reply = await client.request("sub", tags=["x"])  # missing key
             assert reply["ok"] is False
             await client.ping()  # connection still healthy
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    asyncio.run(run())
+
+
+def _failing_rebuild(*_args):
+    raise RuntimeError("injected rebuild fault")
+
+
+def test_failed_reconsolidation_keeps_the_connection_and_the_old_epoch():
+    """A rebuild that raises, from the verb or the background loop, is
+    answered and counted; the delta survives the aborted fold and the
+    publishes around it are served on the old epoch."""
+
+    async def run():
+        server, client = await _serve(
+            [(("a",), 1), (("a", "b"), 2)],
+            reconsolidate_threshold=3,
+            reconsolidate_interval_s=0.01,
+        )
+        try:
+            epoch0 = server.engine.epoch
+            server._rebuild = _failing_rebuild
+            await client.subscribe(["a", "c"], key=3)
+            assert await client.unsubscribe(["a", "b"], key=2)
+
+            # Verb path: a publish pipelined behind the failing verb on
+            # the same connection still gets its reply.
+            loop = asyncio.get_running_loop()
+            recon = loop.create_task(client.request("reconsolidate"))
+            pub = loop.create_task(client.publish(["a", "b", "c"]))
+            reply = await asyncio.wait_for(recon, timeout=5)
+            assert reply["ok"] is False
+            assert reply["error"] == "reconsolidate_failed: injected rebuild fault"
+            keys, epoch = await asyncio.wait_for(pub, timeout=5)
+            assert sorted(keys) == [1, 3] and epoch == epoch0
+            assert (await client.stats())["errors"] == 1
+            assert server.delta.size == 2 and not server._folding
+
+            # Background path: the third delta entry crosses the
+            # threshold; each failed attempt is counted, none is fatal.
+            await client.subscribe(["d"], key=4)
+            await _until(lambda: server.metrics.errors >= 2)
+            keys, epoch = await client.publish(["a", "b", "c", "d"])
+            assert sorted(keys) == [1, 3, 4] and epoch == epoch0
+            assert server.delta.size == 3 and not server._folding
+            assert server.engine.epoch == epoch0
+
+            # The delta the aborted folds left behind folds cleanly.
+            del server._rebuild
+            new_epoch = await client.reconsolidate()
+            assert new_epoch > epoch0
+            keys, epoch = await client.publish(["a", "b", "c", "d"])
+            assert sorted(keys) == [1, 3, 4] and epoch == new_epoch
         finally:
             await client.close()
             await server.shutdown()

@@ -44,9 +44,6 @@ def _build(associations) -> TagMatch:
 def _service_config() -> ServiceConfig:
     return ServiceConfig(
         port=0,
-        batch_deadline_s=0.005,
-        min_deadline_s=0.001,
-        max_deadline_s=0.05,
         reconsolidate_threshold=0,
     )
 
