@@ -1,7 +1,7 @@
 """Observability overhead: tracing-on must cost < 5 % of throughput.
 
 The span tracer wires into every stage of the hot path (pre-process,
-kernel, transfer, post-process, stream ops), so its cost has to be
+kernel, transfer, post-process), so its cost has to be
 proven, not assumed.  This bench runs the same match workload with the
 tracer disabled and enabled, interleaving the repeats so clock drift and
 cache state hit both modes equally, and reports the throughput delta.

@@ -29,7 +29,7 @@ class GpuPlainMatcher(SubsetMatcher):
 
     def __init__(self, device: Device | None = None, thread_block_size: int = 1024) -> None:
         super().__init__()
-        self.device = device if device is not None else Device(num_streams=1)
+        self.device = device if device is not None else Device()
         self._owns_device = device is None
         self.thread_block_size = thread_block_size
 

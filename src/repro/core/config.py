@@ -3,10 +3,12 @@
 All of the paper's tuning knobs live here: the Bloom-filter geometry
 (§3), the maximum partition size ``MAX_P`` that balances CPU and GPU load
 (§3.1, Figure 7), the query batch size and flush timeout (§3, Figure 6),
-and the simulated GPU topology (two 12 GB cards with 10 streams each on
-the paper's testbed).  The paper's CPU thread allocation (§4.3.3,
-Figure 5) is not a knob: a match runs in the calling thread, and
-Figure 5 is a model fed by the thread counts it sweeps (DESIGN.md §7).
+and the simulated GPU topology (two 12 GB cards on the paper's testbed).
+The paper's CPU thread allocation (§4.3.3, Figure 5) is not a knob: a
+match runs in the calling thread, and Figure 5 is a model fed by the
+thread counts it sweeps (DESIGN.md §7).  Nor are its 10 CUDA streams per
+GPU (§3.3.2): a pipeline run keeps one even/odd result double buffer per
+device.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import ClassVar
 
 from repro.bloom.hashing import DEFAULT_NUM_HASHES, DEFAULT_WIDTH
 from repro.errors import ValidationError
-from repro.gpu.device import DEFAULT_DEVICE_MEMORY, DEFAULT_STREAMS_PER_DEVICE
+from repro.gpu.device import DEFAULT_DEVICE_MEMORY
 from repro.gpu.kernels import DEFAULT_THREAD_BLOCK_SIZE
 from repro.gpu.timing import CostModel
 
@@ -41,10 +43,9 @@ class TagMatchConfig:
     batch_timeout_s:
         Flush partially filled batches after this long (``None`` disables
         the timeout, as in the paper's no-timeout latency runs).
-    num_gpus, streams_per_gpu, device_memory:
-        Simulated GPU topology.  A pipeline run cycles through each
-        device's ``streams_per_gpu`` streams, one double buffer each
-        (§3.3.2).
+    num_gpus, device_memory:
+        Simulated GPU topology.  A pipeline run keeps one even/odd
+        result double buffer per device (§3.3.2).
     thread_block_size, prefilter:
         Kernel shape and the Algorithm 4 pre-filter switch.
     replication_factor:
@@ -68,7 +69,6 @@ class TagMatchConfig:
     batch_size: int = 128
     batch_timeout_s: float | None = 0.05
     num_gpus: int = 1
-    streams_per_gpu: int = DEFAULT_STREAMS_PER_DEVICE
     device_memory: int = DEFAULT_DEVICE_MEMORY
     thread_block_size: int = DEFAULT_THREAD_BLOCK_SIZE
     prefilter: bool = True
@@ -94,8 +94,6 @@ class TagMatchConfig:
             raise ValidationError("batch_timeout_s must be non-negative or None")
         if self.num_gpus <= 0:
             raise ValidationError("num_gpus must be positive")
-        if self.streams_per_gpu <= 0:
-            raise ValidationError("streams_per_gpu must be positive")
         if self.thread_block_size <= 0:
             raise ValidationError("thread_block_size must be positive")
         if self.replication_factor is not None and not (

@@ -71,7 +71,6 @@ class TagMatch:
                 device_id=i,
                 memory_capacity=self.config.device_memory,
                 cost_model=self.config.cost_model,
-                num_streams=self.config.streams_per_gpu,
             )
             for i in range(self.config.num_gpus)
         ]

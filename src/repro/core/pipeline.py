@@ -2,24 +2,26 @@
 
 Stages: (i) *pre-process* finds the partitions relevant to each query
 (Algorithm 2); (ii) *subset match* evaluates full batches of queries
-against one partition on a GPU (Algorithms 3–4, submitted through the
-device's streams with double-buffered result transfers); (iii) *key
-lookup/reduce* maps matched set ids to application keys and groups them
-by query; (iv) *merge* combines the per-partition key sets once a query's
-outstanding-batch counter returns to zero.
+against one partition on a GPU (Algorithms 3–4, with double-buffered
+result transfers); (iii) *key lookup/reduce* maps matched set ids to
+application keys and groups them by query; (iv) *merge* combines the
+per-partition key sets once a query's outstanding-batch counter returns
+to zero.
 
 The paper overlaps these stages with CPU threads and asynchronous CUDA
 streams (§3.3.2).  On the simulated GPU the kernel runs on the host CPU
 and its device time comes from the cost model either way, so a run here
 does every stage in the calling thread, in one loop: feed a chunk,
 pre-process it, launch each batch it fills, unpack and look up the
-returned cycles, merge.  Paced runs keep their wall-clock flush timeouts
-by sleeping no longer than the oldest pending batch's deadline.
+returned cycles, merge.  With no concurrent streams to keep busy, a run
+keeps one even/odd result double buffer per device, so a batch's results
+come back at the next launch on the same device.  Paced runs keep their
+wall-clock flush timeouts by sleeping no longer than the oldest pending
+batch's deadline.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -33,9 +35,10 @@ from repro.core.results import QueryState
 from repro.core.runner import UnitRunner
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ReproError
+from repro.gpu.device import Device
 from repro.gpu.doublebuffer import CycleResult, DoubleBufferedResults
+from repro.gpu.kernels import ResultArena
 from repro.gpu.packing import unpack_results
-from repro.gpu.stream import Stream
 from repro.obs import trace
 
 __all__ = ["MatchPipeline", "PipelineRun", "PipelineStats", "grouped_key_lookup"]
@@ -198,12 +201,11 @@ class MatchPipeline:
         batchers = BatcherSet(
             tagset_table.num_units, self.config.batch_size, query_blocks.shape[1]
         )
-        # A run takes each device's streams round-robin; every stream it
-        # uses gets its own even/odd result buffers (§3.3.2).
-        next_stream = {
-            device: itertools.cycle(device.streams) for device in tagset_table.devices
-        }
-        double_buffers: dict[Stream, DoubleBufferedResults] = {}
+        # Every device the run launches on gets one pair of even/odd
+        # result buffers (§3.3.2).  The kernel arena is the run's own, so
+        # two runs on one engine never share one.
+        double_buffers: dict[Device, DoubleBufferedResults] = {}
+        arena = ResultArena()
         unpack_out = (
             np.empty(capacity_pairs, dtype=np.uint8),
             np.empty(capacity_pairs, dtype=np.uint32),
@@ -226,32 +228,26 @@ class MatchPipeline:
             unit_id = batch.partition_id
             residency = tagset_table.unit_residency(unit_id)
             device = residency.device
-            stream = next(next_stream[device])
-            db = double_buffers.get(stream)
+            db = double_buffers.get(device)
             if db is None:
                 db = DoubleBufferedResults(device, capacity_pairs=capacity_pairs)
-                double_buffers[stream] = db
-
-            def copy_in_kernel_and_push() -> CycleResult | None:
-                # The copy-in / kernel / result-push sequence of §3.3.2 as
-                # one FIFO unit on the stream.  The runner charges the
-                # simulated kernel time to the device.
-                qbuf = device.htod(batch.queries, label="query-batch")
-                try:
-                    result = runner.run_kernel(
-                        unit_id, qbuf.array(), residency=residency, arena=stream.arena
-                    )
-                finally:
-                    qbuf.free()
-                stats.record_kernel(result.num_pairs, result.simulated_time_s)
-                return db.push(result.packed, result.num_pairs, meta=batch.states)
-
-            deliver(stream.enqueue(copy_in_kernel_and_push, label="copyin-match-copyout"))
+                double_buffers[device] = db
+            # The copy-in / kernel / result-push sequence of §3.3.2.  The
+            # runner charges the simulated kernel time to the device.
+            qbuf = device.htod(batch.queries, label="query-batch")
+            try:
+                result = runner.run_kernel(
+                    unit_id, qbuf.array(), residency=residency, arena=arena
+                )
+            finally:
+                qbuf.free()
+            stats.record_kernel(result.num_pairs, result.simulated_time_s)
+            deliver(db.push(result.packed, result.num_pairs, meta=batch.states))
 
         def deliver_trailing() -> None:
-            """Copy out every stream's deferred cycle (§3.3.2 flush)."""
-            for stream, db in double_buffers.items():
-                deliver(stream.enqueue(db.flush, label="flush-results"))
+            """Copy out every device's deferred cycle (§3.3.2 flush)."""
+            for db in double_buffers.values():
+                deliver(db.flush())
 
         def flush_stale() -> None:
             """Once the oldest pending batch is past the timeout, ship every

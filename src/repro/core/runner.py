@@ -3,7 +3,7 @@
 Every matching path launches the kernel (Algorithms 3–4) against one
 dispatch unit of the tagset table through :class:`UnitRunner`:
 ``TagMatch.match``/``match_unique`` and ``TagMatch.match_batch`` one
-query at a time, and the pipeline's copy-in/kernel/push stream op one
+query at a time, and a pipeline run's copy-in/kernel/push sequence one
 batch at a time.  Each launch runs in the calling thread and charges the
 unit's device clock exactly once, so simulated device time and launch
 counts agree across paths for the same work.
@@ -87,8 +87,8 @@ class UnitRunner:
         """:meth:`launch`, with the matched pairs packed for transfer.
 
         With an ``arena`` the packed bytes live in its resident buffer;
-        the double-buffer push copies them out before the stream runs
-        another kernel, so the view never goes stale.
+        the pipeline's double-buffer push copies them out before the run
+        launches another kernel, so the view never goes stale.
         """
         result = self.launch(unit_id, queries, residency, arena)
         packed = (

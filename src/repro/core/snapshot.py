@@ -31,7 +31,6 @@ _CONFIG_FIELDS = (
     "batch_size",
     "batch_timeout_s",
     "num_gpus",
-    "streams_per_gpu",
     "device_memory",
     "thread_block_size",
     "prefilter",
@@ -50,10 +49,10 @@ def _config_from_json(raw: str) -> TagMatchConfig:
     """Rebuild the stored config, accepting snapshots of older releases.
 
     Those stored two kernel-plan options that are now fixed, the size
-    of the deleted duplicate-query memo and the deleted pipeline thread
-    count (all dropped here), and ``replicate_tagset_table``, whose
-    ``False`` is a replication factor of one.  Any other unknown key is
-    an error.
+    of the deleted duplicate-query memo, the deleted pipeline thread
+    count and the deleted per-GPU stream count (all dropped here), and
+    ``replicate_tagset_table``, whose ``False`` is a replication factor
+    of one.  Any other unknown key is an error.
     """
     stored = json.loads(raw)
     for retired in (
@@ -61,6 +60,7 @@ def _config_from_json(raw: str) -> TagMatchConfig:
         "coarse_prefilter",
         "query_memo_size",
         "num_threads",
+        "streams_per_gpu",
     ):
         stored.pop(retired, None)
     replicate = stored.pop("replicate_tagset_table", True)

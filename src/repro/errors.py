@@ -32,9 +32,5 @@ class CapacityError(DeviceError):
     """A device memory allocation exceeded the configured capacity."""
 
 
-class StreamError(DeviceError):
-    """Misuse of a device stream (enqueue after close, bad sync, ...)."""
-
-
 class WorkloadError(ReproError):
     """Workload generation was asked for something inconsistent."""

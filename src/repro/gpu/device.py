@@ -2,10 +2,11 @@
 
 A :class:`Device` bundles the pieces a CUDA device exposes to TagMatch:
 device memory (with capacity accounting), host<->device copies (charged
-to the PCIe cost model), and a fixed set of streams (the paper's
-platform allows 10 per GPU, §4.3.3).  Kernels themselves live in
-:mod:`repro.gpu.kernels`; they take device buffers and charge their
-simulated execution time to the device clock.
+to the PCIe cost model) and a simulated clock.  Kernels themselves live
+in :mod:`repro.gpu.kernels`; they take device buffers and charge their
+simulated execution time to the device clock.  The paper's CUDA streams
+(§3.3.2) are not modelled: every operation runs in the calling thread,
+and a pipeline run keeps one even/odd result double buffer per device.
 """
 
 from __future__ import annotations
@@ -22,37 +23,29 @@ from repro.gpu.memory import (
     TransferDirection,
     TransferStats,
 )
-from repro.gpu.stream import Stream
 from repro.gpu.timing import CostModel, DeviceClock
 from repro.obs import trace
 
-__all__ = ["Device", "DEFAULT_DEVICE_MEMORY", "DEFAULT_STREAMS_PER_DEVICE"]
+__all__ = ["Device", "DEFAULT_DEVICE_MEMORY"]
 
 #: 12 GB of GDDR5, as on the paper's TITAN X cards.
 DEFAULT_DEVICE_MEMORY = 12 * 1024**3
 
-#: The paper's platform supports at most 10 streams per GPU (§4.3.3).
-DEFAULT_STREAMS_PER_DEVICE = 10
-
 
 class Device:
-    """One simulated GPU: memory ledger, clock, transfer stats, streams."""
+    """One simulated GPU: memory ledger, clock, transfer stats."""
 
     def __init__(
         self,
         device_id: int = 0,
         memory_capacity: int = DEFAULT_DEVICE_MEMORY,
         cost_model: CostModel | None = None,
-        num_streams: int = DEFAULT_STREAMS_PER_DEVICE,
     ) -> None:
-        if num_streams <= 0:
-            raise DeviceError(f"num_streams must be positive, got {num_streams}")
         self.device_id = device_id
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.ledger = MemoryLedger(memory_capacity)
         self.clock = DeviceClock()
         self.transfers = TransferStats()
-        self.streams: list[Stream] = [Stream(self, i) for i in range(num_streams)]
         self._closed = False
         self._lock = threading.Lock()
 
@@ -101,7 +94,8 @@ class Device:
         self._charge_transfer(TransferDirection.DEVICE_TO_HOST, nbytes)
 
     def _charge_transfer(self, direction: TransferDirection, nbytes: int) -> None:
-        self.transfers.record(direction, nbytes)
+        with self._lock:  # two runs on one engine may copy at once
+            self.transfers.record(direction, nbytes)
         seconds = self.cost_model.transfer_time(nbytes)
         self.clock.add_transfer(seconds)
         if trace.is_enabled():
@@ -125,13 +119,9 @@ class Device:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close every stream; the device refuses further work."""
+        """Refuse further work on this device."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-        for stream in self.streams:
-            stream.close()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -150,6 +140,5 @@ class Device:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Device(id={self.device_id}, "
-            f"mem={self.ledger.allocated_bytes}/{self.ledger.capacity_bytes}, "
-            f"streams={len(self.streams)})"
+            f"mem={self.ledger.allocated_bytes}/{self.ledger.capacity_bytes})"
         )

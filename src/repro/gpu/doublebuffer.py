@@ -16,7 +16,9 @@ the result length first.  The paper avoids both by giving every stream
 
 The consequence (modelled faithfully here) is that every transfer has a
 minimal, known-at-issue-time size and results are delivered one cycle
-late; a ``flush`` delivers the trailing cycle when the stream goes idle.
+late; a ``flush`` delivers the trailing cycle when the buffer goes idle.
+The simulated GPU has no streams: a pipeline run keeps one pair of
+buffers per device.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class CycleResult:
 
 
 class DoubleBufferedResults:
-    """Per-stream even/odd result buffers implementing the §3.3.2 protocol."""
+    """One pair of even/odd result buffers implementing the §3.3.2 protocol."""
 
     def __init__(
         self, device: Device, capacity_pairs: int = 4096, label: str = ""
@@ -57,9 +59,13 @@ class DoubleBufferedResults:
         self.device = device
         self.label = label
         self.capacity_pairs = capacity_pairs
-        self._buffers: list[DeviceBuffer] = [
-            self._allocate(capacity_pairs, i) for i in range(2)
-        ]
+        self._buffers: list[DeviceBuffer] = []
+        try:
+            for i in range(2):
+                self._buffers.append(self._allocate(capacity_pairs, i))
+        except BaseException:
+            self.free()  # the even buffer must not outlive a failed odd one
+            raise
         self._cycle = 0
         #: Metadata and pair count of the cycle whose copy-out is deferred.
         self._pending: tuple[int, Any] | None = None
@@ -114,7 +120,7 @@ class DoubleBufferedResults:
         return delivered
 
     def flush(self) -> CycleResult | None:
-        """Deliver the deferred trailing cycle (stream idle / shutdown)."""
+        """Deliver the deferred trailing cycle (idle / shutdown)."""
         if self._pending is None:
             return None
         return self._copy_out_pending()

@@ -28,7 +28,7 @@ Three hot-path refinements sit on top of the seed kernel:
   from below: a subset of ``q`` is numerically ≤ ``q``, so blocks whose
   minimum exceeds the query are rejected without a containment scan.
 * **Reused outputs** — a :class:`ResultArena` owned by the calling
-  stream holds growable output arrays reused across invocations.
+  pipeline run holds growable output arrays reused across invocations.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class KernelResult:
 class ResultArena:
     """Growable preallocated output buffers for kernel invocations.
 
-    One arena is owned by one serial execution context — a stream, whose
-    lock lets one kernel at a time write into it — and reused across
+    One arena is owned by one serial execution context — a pipeline run,
+    which launches one kernel at a time — and reused across its
     invocations: the match pairs are written into the
     ``query_ids``/``set_ids`` arrays, a boolean scratch matrix holds the
     block-level survive tile, and :meth:`pack` emits the §3.3.1 packed

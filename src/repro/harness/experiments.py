@@ -750,8 +750,8 @@ def sec45_gpu_only_design(
     unique_blocks = np.unique(blocks, axis=0)
     partitioning = balanced_partition(unique_blocks, BENCH_MAX_P, 192)
 
-    hybrid_device = Device(device_id=0, num_streams=1)
-    gpu_only_device = Device(device_id=1, num_streams=1)
+    hybrid_device = Device(device_id=0)
+    gpu_only_device = Device(device_id=1)
     partitions = []
     order_cache = []
     for p in partitioning.partitions:

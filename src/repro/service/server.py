@@ -48,6 +48,10 @@ __all__ = ["MatchServer", "serve_until_interrupted"]
 #: Drain budget for admitted publishes during graceful shutdown.
 _DRAIN_TIMEOUT_S = 30.0
 
+#: Longest wait between background rebuild attempts while they keep
+#: failing; each failure doubles the wait up to here.
+_RECON_BACKOFF_CAP_S = 5.0
+
 
 @dataclass(eq=False)
 class _Conn:
@@ -469,8 +473,17 @@ class MatchServer:
         return engine
 
     async def _recon_loop(self) -> None:
+        """Fold the delta once it crosses the threshold.
+
+        A rebuild costs a full consolidation in a worker thread, so one
+        that keeps failing backs off exponentially instead of competing
+        with the matcher every interval; a successful fold resets it.
+        """
+        interval = self.config.reconsolidate_interval_s
+        cap = max(interval, _RECON_BACKOFF_CAP_S)
+        wait = interval
         while True:
-            await asyncio.sleep(self.config.reconsolidate_interval_s)
+            await asyncio.sleep(wait)
             if (
                 not self._folding
                 and self.delta.size >= self.config.reconsolidate_threshold
@@ -479,6 +492,9 @@ class MatchServer:
                     await self.reconsolidate()
                 except Exception:  # noqa: BLE001 - keep serving on the old epoch
                     self.metrics.errors += 1
+                    wait = min(2 * wait, cap)
+                else:
+                    wait = interval
 
     # ------------------------------------------------------------------
     # Introspection

@@ -12,9 +12,6 @@ class TestDefaults:
         assert cfg.width == 192
         assert cfg.num_hashes == 7
 
-    def test_paper_stream_count(self):
-        assert TagMatchConfig().streams_per_gpu == 10
-
     def test_frozen(self):
         cfg = TagMatchConfig()
         with pytest.raises(AttributeError):
@@ -31,7 +28,6 @@ class TestValidation:
         ("batch_size", 257),
         ("batch_timeout_s", -1.0),
         ("num_gpus", 0),
-        ("streams_per_gpu", 0),
         ("thread_block_size", 0),
     ])
     def test_rejects_bad_values(self, field, value):

@@ -100,18 +100,24 @@ class TestCorrectness:
         for row, result in zip(tag_sets, run.results):
             assert sorted(result.tolist()) == sorted(eng.match(row).tolist())
 
-    def test_concurrent_callers_on_one_stream(self):
-        """Two threads matching on one engine share its only stream; the
-        stream lock keeps its reused result arena to one kernel at a time."""
-        eng, tags, rng = build_engine(num_gpus=1, streams_per_gpu=1)
+    def test_concurrent_callers_on_one_engine(self):
+        """Two threads matching on one engine share its device; each run
+        owns its result double buffer and kernel arena, so neither sees
+        the other's kernel output, and the device loses no transfer."""
+        eng, tags, rng = build_engine(num_gpus=1)
         blocks = [eng.encode_queries(make_queries(tags, rng, n=200)) for _ in range(2)]
         expected = [canonical(eng.match_batch(b)) for b in blocks]
         got = [None, None]
+        launches = [0, 0]
         errors = []
+        transfers = eng.devices[0].transfers
+        ops_before = transfers.htod_ops + transfers.dtoh_ops
 
         def caller(i):
             try:
-                got[i] = canonical(eng.match_stream(blocks[i]).results)
+                run = eng.match_stream(blocks[i])
+                got[i] = canonical(run.results)
+                launches[i] = run.stats.kernel_invocations
             except Exception as exc:  # re-raised below
                 errors.append(exc)
 
@@ -129,6 +135,9 @@ class TestCorrectness:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert got == expected
+        # One copy-in and one copy-out per launch: no transfer count lost.
+        ops = transfers.htod_ops + transfers.dtoh_ops - ops_before
+        assert ops == 2 * sum(launches)
 
     def test_matching_starts_no_threads(self, monkeypatch):
         """Every match path runs in the calling thread."""

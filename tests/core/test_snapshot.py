@@ -138,8 +138,9 @@ class TestGuards:
 def legacy_config(**overrides):
     """The 19-key config JSON written by releases that still had the
     ``fuse_partitions_below``/``coarse_prefilter`` options, the
-    ``replicate_tagset_table`` switch, the ``query_memo_size`` memo and
-    the ``num_threads`` pipeline thread count."""
+    ``replicate_tagset_table`` switch, the ``query_memo_size`` memo, the
+    ``num_threads`` pipeline thread count and the ``streams_per_gpu``
+    stream count."""
     payload = {
         "width": 192,
         "num_hashes": 7,
@@ -219,6 +220,12 @@ class TestLegacySnapshots:
         # snapshot format too; the cost model is not persisted.
         fields = {f.name for f in dataclasses.fields(TagMatchConfig)}
         assert set(_CONFIG_FIELDS) == fields - {"cost_model"}
+
+    def test_saved_config_has_no_retired_keys(self, arrays):
+        # A deleted config field must not linger in the stored format.
+        stored = json.loads(arrays["config"].tobytes().decode())
+        assert sorted(stored) == sorted(_CONFIG_FIELDS)
+        assert "streams_per_gpu" not in stored
 
     def test_unknown_config_key_rejected(self, arrays, tmp_path):
         path = str(tmp_path / "unknown.npz")

@@ -16,7 +16,7 @@ WIDTH = 192
 
 @pytest.fixture
 def devices():
-    devs = [Device(device_id=i, num_streams=1) for i in range(3)]
+    devs = [Device(device_id=i) for i in range(3)]
     yield devs
     for dev in devs:
         dev.close()

@@ -1,4 +1,4 @@
-"""Tests for the simulated device: memory, transfers, stream pool."""
+"""Tests for the simulated device: memory, transfers, lifecycle."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.gpu.timing import CostModel
 
 @pytest.fixture
 def device():
-    dev = Device(device_id=0, memory_capacity=1 << 20, num_streams=2)
+    dev = Device(device_id=0, memory_capacity=1 << 20)
     yield dev
     dev.close()
 
@@ -93,7 +93,7 @@ class TestBuffers:
             device.allocate((1 << 21,), np.uint8)
 
     def test_foreign_buffer_rejected(self, device):
-        with Device(device_id=1, num_streams=1) as other:
+        with Device(device_id=1) as other:
             buf = other.htod(np.zeros(4, dtype=np.uint8))
             with pytest.raises(DeviceError):
                 device.dtoh(buf)
@@ -101,14 +101,10 @@ class TestBuffers:
 
 class TestStreamPool:
     def test_closed_device_rejects_work(self):
-        dev = Device(num_streams=1)
+        dev = Device()
         dev.close()
         with pytest.raises(DeviceError):
             dev.htod(np.zeros(1, dtype=np.uint8))
-
-    def test_num_streams_validated(self):
-        with pytest.raises(DeviceError):
-            Device(num_streams=0)
 
 
 class TestCostModel:

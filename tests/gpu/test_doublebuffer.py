@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeviceError
+from repro.errors import CapacityError, DeviceError
 from repro.gpu.device import Device
 from repro.gpu.doublebuffer import LENGTH_SLOT_BYTES, DoubleBufferedResults
 from repro.gpu.packing import pack_results, packed_size, unpack_results
@@ -11,7 +11,7 @@ from repro.gpu.packing import pack_results, packed_size, unpack_results
 
 @pytest.fixture
 def device():
-    dev = Device(num_streams=1)
+    dev = Device()
     yield dev
     dev.close()
 
@@ -127,3 +127,12 @@ class TestCapacity:
         assert device.ledger.allocated_bytes > 0
         db.free()
         assert device.ledger.allocated_bytes == 0
+
+    def test_failed_allocation_frees_the_even_buffer(self):
+        # Room for the even buffer but not the odd one: the constructor
+        # raises and leaves no device memory behind.
+        one_buffer = LENGTH_SLOT_BYTES + packed_size(8)
+        with Device(memory_capacity=one_buffer + 1) as dev:
+            with pytest.raises(CapacityError):
+                DoubleBufferedResults(dev, capacity_pairs=8)
+            assert dev.ledger.allocated_bytes == 0

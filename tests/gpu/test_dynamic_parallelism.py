@@ -12,7 +12,7 @@ from repro.gpu.dynamic_parallelism import DevicePartition, DynamicParallelismMat
 
 @pytest.fixture
 def device():
-    dev = Device(num_streams=1)
+    dev = Device()
     yield dev
     dev.close()
 

@@ -17,6 +17,11 @@ def workload():
     return generate_twitter_workload(num_users=2000, seed=17)
 
 
+def allocated(engine) -> int:
+    """Device memory in use across the engine's GPUs."""
+    return sum(device.ledger.allocated_bytes for device in engine.devices)
+
+
 class TestDeviceCapacity:
     def test_consolidate_fails_cleanly_when_gpu_too_small(self, workload):
         # A device too small for the tagset table: consolidate raises the
@@ -65,7 +70,7 @@ class TestDeviceCapacity:
     def test_stream_raises_device_fault_instead_of_timing_out(self, workload):
         # Room for the tagset table but not for the pipeline's query and
         # result buffers: the synchronous path works, the pipeline's
-        # stream ops fail, and the run must surface that failure rather
+        # launches fail, and the run must surface that failure rather
         # than wait out its queries.
         probe = TagMatch(TagMatchConfig(batch_timeout_s=None))
         probe.add_signatures(workload.blocks, workload.keys)
@@ -78,10 +83,12 @@ class TestDeviceCapacity:
             eng.add_signatures(workload.blocks, workload.keys)
             eng.consolidate()
             blocks = workload.queries(64, seed=5).blocks
+            before = allocated(eng)
             start = time.perf_counter()
             with pytest.raises(CapacityError):
                 eng.match_stream(blocks)
             assert time.perf_counter() - start < 5.0
+            assert allocated(eng) == before
 
             oracle = LinearScanMatcher()
             oracle.build(workload.blocks, workload.keys)
@@ -168,15 +175,17 @@ class TestPipelineRobustness:
             eng.consolidate()
             blocks = workload.queries(32, seed=6).blocks
             monkeypatch.setattr(KeyTable, "keys_of_many", fail)
+            before = allocated(eng)
             start = time.perf_counter()
             with pytest.raises(RuntimeError, match="key lookup failed"):
                 eng.match_stream(blocks)
             assert time.perf_counter() - start < 5.0
+            assert allocated(eng) == before
             monkeypatch.setattr(KeyTable, "keys_of_many", keys_of_many)
             assert len(eng.match_stream(blocks).results) == 32
 
     def test_stream_raises_result_flush_failure(self, workload, monkeypatch):
-        # The shutdown flush delivers each stream's trailing cycle; when it
+        # The shutdown flush delivers each device's trailing cycle; when it
         # fails, those queries never complete and the run must say why.
         from repro.gpu.doublebuffer import DoubleBufferedResults
 
@@ -189,7 +198,9 @@ class TestPipelineRobustness:
             eng.add_signatures(workload.blocks, workload.keys)
             eng.consolidate()
             blocks = workload.queries(32, seed=7).blocks
+            before = allocated(eng)
             start = time.perf_counter()
             with pytest.raises(RuntimeError, match="result flush failed"):
                 eng.match_stream(blocks)
             assert time.perf_counter() - start < 5.0
+            assert allocated(eng) == before

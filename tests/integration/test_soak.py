@@ -29,12 +29,11 @@ class TestSustainedStreams:
             assert after == baseline
 
     def test_streams_pool_not_exhausted(self, workload):
-        """More concurrent batches than streams: dispatch must block and
-        recycle the pool rather than fail."""
+        """Many more small batches than result buffers: the run's one
+        double buffer per device recycles across every launch."""
         cfg = TagMatchConfig(
             max_partition_size=32,
             batch_size=4,
-            streams_per_gpu=2,
             num_gpus=1,
             batch_timeout_s=0.005,
         )

@@ -86,7 +86,7 @@ def test_ingest_spans_populates_stage_histograms():
             Span("kernel", 0.0, 0.004, {}),
             Span("kernel", 0.0, 0.006, {}),
             Span("transfer", 0.0, 0.001, {}),
-            Span("stream_op", 0.0, 0.002, {}),  # non-canonical: auto-added
+            Span("custom_op", 0.0, 0.002, {}),  # non-canonical: auto-added
         ]
     )
     stages = snap(m)["stages"]
@@ -94,7 +94,7 @@ def test_ingest_spans_populates_stage_histograms():
     assert stages["kernel"]["total_s"] == pytest.approx(0.010)
     assert stages["kernel"]["p99_ms"] > 0.0
     assert stages["transfer"]["count"] == 1
-    assert stages["stream_op"]["count"] == 1
+    assert stages["custom_op"]["count"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from repro.core.config import ServiceConfig, TagMatchConfig
 from repro.core.engine import TagMatch
 from repro.service.protocol import OverloadedError, ServiceClient
-from repro.service.server import MatchServer
+from repro.service.server import _RECON_BACKOFF_CAP_S, MatchServer
 
 ENGINE_CONFIG = TagMatchConfig(max_partition_size=8, num_gpus=1, batch_timeout_s=None)
 
@@ -261,6 +261,43 @@ def test_failed_reconsolidation_keeps_the_connection_and_the_old_epoch():
             assert new_epoch > epoch0
             keys, epoch = await client.publish(["a", "b", "c", "d"])
             assert sorted(keys) == [1, 3, 4] and epoch == new_epoch
+        finally:
+            await client.close()
+            await server.shutdown()
+
+    asyncio.run(run())
+
+
+def test_failing_background_rebuild_backs_off():
+    """A rebuild that keeps failing is retried with a doubling wait, not
+    every interval; once it can succeed, a fold lands within the cap."""
+
+    async def run():
+        server, client = await _serve(
+            [(("a",), 1)], reconsolidate_threshold=1, reconsolidate_interval_s=0.01
+        )
+        attempts = []
+
+        def failing_rebuild(*_args):
+            attempts.append(1)
+            raise RuntimeError("injected rebuild fault")
+
+        try:
+            epoch0 = server.engine.epoch
+            server._rebuild = failing_rebuild
+            await client.subscribe(["b"], key=2)
+            await asyncio.sleep(0.5)
+            # Waits of 0.01, 0.02, 0.04, ... s fit about six attempts in
+            # 0.5 s; a fixed 0.01 s interval would fit dozens.
+            assert 1 <= len(attempts) <= 8, len(attempts)
+            assert server.metrics.errors == len(attempts)
+
+            del server._rebuild
+            await _until(
+                lambda: server.engine.epoch > epoch0, timeout_s=_RECON_BACKOFF_CAP_S + 2
+            )
+            keys, _ = await client.publish(["a", "b"])
+            assert sorted(keys) == [1, 2]
         finally:
             await client.close()
             await server.shutdown()
