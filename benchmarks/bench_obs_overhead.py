@@ -2,9 +2,10 @@
 
 The span tracer wires into every stage of the hot path (pre-process,
 kernel, transfer, post-process), so its cost has to be
-proven, not assumed.  This bench runs the same match workload with the
-tracer disabled and enabled, interleaving the repeats so clock drift and
-cache state hit both modes equally, and reports the throughput delta.
+proven, not assumed.  This bench runs the same match workload in
+alternating tracer-off/tracer-on pairs, times each run in process CPU
+seconds, and reports the median of the per-pair CPU-time ratios as the
+overhead, so one noisy moment on a shared host cannot decide it.
 
 Writes machine-readable ``BENCH_obs.json`` at the repo root (consumed by
 the CI schema check, which enforces the < 5 % acceptance bar) plus the
@@ -21,8 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
-from time import perf_counter
+from time import perf_counter, process_time
 
 import numpy as np
 
@@ -69,33 +71,41 @@ def build_queries(engine: TagMatch, num_queries: int) -> np.ndarray:
 
 def measure_modes(
     engine: TagMatch, queries: np.ndarray, repeats: int
-) -> tuple[dict, dict]:
-    """Best-of-``repeats`` qps per mode, with the modes interleaved.
+) -> tuple[dict, dict, float]:
+    """Median qps per mode and the median per-pair overhead, in CPU time.
 
-    Interleaving means a slow machine moment (GC, CI noise burst) costs
-    both modes equally instead of biasing whichever ran second.
+    Each of ``repeats`` pairs runs the workload once with tracing off and
+    once with it on, alternating which goes first, and times both in
+    process CPU seconds, so time the host gives other processes stays
+    out.  The overhead is the median of the per-pair CPU-time ratios: a
+    noisy moment spoils one pair, not the verdict.  Runs use
+    ``batch_timeout_s=None``, so both modes launch the same batches.
     """
     trace.disable()
     trace.clear()
     engine.match_stream(queries[: max(8, len(queries) // 8)])  # warm-up
-    best = {"off": 0.0, "on": 0.0}
+    cpu = {"off": [], "on": []}
     spans_per_run = 0
-    for _ in range(repeats):
-        for mode in ("off", "on"):
+    for i in range(repeats):
+        for mode in ("off", "on") if i % 2 == 0 else ("on", "off"):
             if mode == "on":
                 trace.enable()
                 trace.clear()
             else:
                 trace.disable()
-            run = engine.match_stream(queries)
-            best[mode] = max(best[mode], run.throughput_qps)
+            c0 = process_time()
+            engine.match_stream(queries, batch_timeout_s=None)
+            cpu[mode].append(process_time() - c0)
             if mode == "on":
                 spans_per_run = trace.count()
     trace.disable()
     trace.clear()
-    off = {"mode": "trace_off", "qps": best["off"]}
-    on = {"mode": "trace_on", "qps": best["on"], "spans_per_run": spans_per_run}
-    return off, on
+    ratios = [on / off for off, on in zip(cpu["off"], cpu["on"])]
+    overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
+    qps = {mode: len(queries) / statistics.median(times) for mode, times in cpu.items()}
+    off = {"mode": "trace_off", "qps": qps["off"]}
+    on = {"mode": "trace_on", "qps": qps["on"], "spans_per_run": spans_per_run}
+    return off, on, overhead_pct
 
 
 def measure_primitive_costs() -> dict:
@@ -119,25 +129,21 @@ def measure_primitive_costs() -> dict:
 
 
 def run(smoke: bool, json_path: str) -> ExperimentResult:
-    # Runs must be long enough that scheduler noise cannot masquerade as
-    # tracer overhead: at ~15k qps, 1024 queries is a ~70 ms run, which
-    # bounds timer jitter to well under the 5 % bar.
+    # Tens of milliseconds of CPU per run and 15 pairs: enough that one
+    # slow run or scheduler hiccup moves the median ratio by little.
     num_sets = 600 if smoke else 2400
-    num_queries = 1024 if smoke else 2048
-    repeats = 5 if smoke else 7
+    num_queries = 2048
+    repeats = 15
 
     engine = build_engine(num_sets)
     try:
         queries = build_queries(engine, num_queries)
-        off, on = measure_modes(engine, queries, repeats)
+        off, on, overhead_pct = measure_modes(engine, queries, repeats)
     finally:
         engine.close()
         trace.disable()
         trace.clear()
 
-    overhead_pct = (
-        (off["qps"] - on["qps"]) / off["qps"] * 100.0 if off["qps"] > 0 else 0.0
-    )
     costs = measure_primitive_costs()
     shared = {
         "num_sets": num_sets,
@@ -181,7 +187,8 @@ def run(smoke: bool, json_path: str) -> ExperimentResult:
         headers=["mode", "qps", "spans/run", "overhead", "bar"],
         rows=rows,
         notes=(
-            "Best-of-repeats throughput with modes interleaved per repeat.\n"
+            "Median CPU-time throughput per mode; overhead is the median of\n"
+            "per-pair CPU-time ratios over alternating off/on pairs.\n"
             f"Disabled-path span() costs {costs['disabled_span_ns']:.0f} ns "
             f"(one flag check + shared no-op manager); enabled record() "
             f"costs {costs['enabled_record_ns']:.0f} ns (locked ring append).\n"

@@ -17,7 +17,7 @@ from repro.core.partitioning import (
     balanced_partition,
 )
 from repro.core.pipeline import MatchPipeline, PipelineRun, PipelineStats
-from repro.core.results import QueryState, merge_keys
+from repro.core.results import merge_keys
 from repro.core.staging import ConsolidatedDatabase, StagingArea
 from repro.core.tagset_table import PartitionResidency, TagsetTable
 
@@ -36,7 +36,6 @@ __all__ = [
     "PartitioningResult",
     "PipelineRun",
     "PipelineStats",
-    "QueryState",
     "StagingArea",
     "TagMatch",
     "TagMatchConfig",

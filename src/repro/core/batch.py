@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.results import QueryState
 from repro.errors import ValidationError
 
 __all__ = ["Batch", "PartitionBatcher", "BatcherSet"]
@@ -29,10 +28,12 @@ class Batch:
 
     partition_id: int
     queries: np.ndarray
-    states: list[QueryState]
+    #: Run-global query ids (``np.intp``), parallel to ``queries``: the
+    #: kernel's local query id ``i`` is query ``ids[i]`` of the run.
+    ids: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.ids)
 
 
 class PartitionBatcher:
@@ -48,25 +49,28 @@ class PartitionBatcher:
         self.batch_size = batch_size
         self._num_words = num_words
         self._rows: list[np.ndarray] = []
-        self._states: list[QueryState] = []
+        self._ids: list[np.ndarray] = []
+        self._pending = 0
         self._oldest: float | None = None
 
-    def add(self, query_row: np.ndarray, state: QueryState) -> Batch | None:
+    def add(self, query_row: np.ndarray, query_id: int) -> Batch | None:
         """Append one query; return a full batch if this filled it."""
-        full = self.add_many(query_row.reshape(1, -1), [state])
+        full = self.add_many(query_row.reshape(1, -1), np.array([query_id], dtype=np.intp))
         return full[0] if full else None
 
-    def add_many(self, rows: np.ndarray, states: list[QueryState]) -> list[Batch]:
+    def add_many(self, rows: np.ndarray, ids: np.ndarray) -> list[Batch]:
         """Append several queries at once; return every filled batch.
 
         The bulk path serves the vectorized pre-process stage: one call
-        per (chunk, partition) pair instead of one per query.
+        per (chunk, partition) pair instead of one per query.  ``rows``
+        is 2-D, parallel to the ``np.intp`` query ids ``ids``.
         """
-        if not self._states:
+        if not self._pending:
             self._oldest = time.perf_counter()
-        self._rows.append(np.atleast_2d(rows))
-        self._states.extend(states)
-        return self._emit_full()
+        self._rows.append(rows)
+        self._ids.append(ids)
+        self._pending += len(ids)
+        return self._emit_full() if self._pending >= self.batch_size else []
 
     def flush(self) -> Batch | None:
         """Emit whatever is queued, regardless of age (shutdown path)."""
@@ -82,41 +86,33 @@ class PartitionBatcher:
 
     def _emit_full(self) -> list[Batch]:
         """Split off every full ``batch_size`` batch, keep the remainder."""
-        if len(self._states) < self.batch_size:
-            return []
         queued = np.vstack(self._rows)
-        out: list[Batch] = []
-        pos = 0
-        while len(self._states) - pos >= self.batch_size:
-            out.append(
-                Batch(
-                    partition_id=self.partition_id,
-                    queries=queued[pos : pos + self.batch_size],
-                    states=self._states[pos : pos + self.batch_size],
-                )
-            )
-            pos += self.batch_size
-        self._rows = [queued[pos:]] if pos < len(self._states) else []
-        self._states = self._states[pos:]
-        self._oldest = time.perf_counter() if self._states else None
+        ids = np.concatenate(self._ids)
+        size = self.batch_size
+        full = self._pending - self._pending % size
+        out = [
+            Batch(self.partition_id, queued[pos : pos + size], ids[pos : pos + size])
+            for pos in range(0, full, size)
+        ]
+        self._rows = [queued[full:]] if full < self._pending else []
+        self._ids = [ids[full:]] if full < self._pending else []
+        self._pending -= full
+        self._oldest = time.perf_counter() if self._pending else None
         return out
 
     def _take_remainder(self) -> Batch | None:
-        if not self._states:
+        if not self._pending:
             return None
-        batch = Batch(
-            partition_id=self.partition_id,
-            queries=np.vstack(self._rows),
-            states=self._states,
-        )
+        batch = Batch(self.partition_id, np.vstack(self._rows), np.concatenate(self._ids))
         self._rows = []
-        self._states = []
+        self._ids = []
+        self._pending = 0
         self._oldest = None
         return batch
 
     @property
     def pending(self) -> int:
-        return len(self._states)
+        return self._pending
 
     @property
     def oldest(self) -> float | None:

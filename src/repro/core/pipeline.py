@@ -4,20 +4,30 @@ Stages: (i) *pre-process* finds the partitions relevant to each query
 (Algorithm 2); (ii) *subset match* evaluates full batches of queries
 against one partition on a GPU (Algorithms 3–4, with double-buffered
 result transfers); (iii) *key lookup/reduce* maps matched set ids to
-application keys and groups them by query; (iv) *merge* combines the
-per-partition key sets once a query's outstanding-batch counter returns
-to zero.
+application keys; (iv) *merge* combines each query's per-partition keys
+into its result.  A query is complete once its outstanding-batch
+counter returns to zero.
 
 The paper overlaps these stages with CPU threads and asynchronous CUDA
 streams (§3.3.2).  On the simulated GPU the kernel runs on the host CPU
 and its device time comes from the cost model either way, so a run here
 does every stage in the calling thread, in one loop: feed a chunk,
 pre-process it, launch each batch it fills, unpack and look up the
-returned cycles, merge.  With no concurrent streams to keep busy, a run
-keeps one even/odd result double buffer per device, so a batch's results
-come back at the next launch on the same device.  Paced runs keep their
+returned cycles.  With no concurrent streams to keep busy, a run keeps
+one even/odd result double buffer per device, so a batch's results come
+back at the next launch on the same device.  Paced runs keep their
 wall-clock flush timeouts by sleeping no longer than the oldest pending
 batch's deadline.
+
+A run holds its per-query state in arrays indexed by the query's row:
+the batches pre-process forwarded it to (the row sums of the unit
+relevance matrix), the batches delivered so far, its release time and
+its completion time.  A batch carries its queries' row ids, and each
+returned cycle is one vectorised step: unpack, look up every pair's
+keys at once, add one to the delivered count of each query in the batch
+and stamp the queries that are now complete.  The merge runs once, at
+the end of the run: one stable sort by query splits the looked-up keys
+into per-query results, each in delivery order, then row order.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from repro.core.batch import Batch, BatcherSet
 from repro.core.config import TagMatchConfig
 from repro.core.key_table import KeyTable
 from repro.core.partition_table import PartitionTable
-from repro.core.results import QueryState
+from repro.core.results import merge_by_query
 from repro.core.runner import UnitRunner
 from repro.core.tagset_table import TagsetTable
 from repro.errors import ReproError
@@ -52,12 +62,14 @@ def grouped_key_lookup(
     """Stage-3 lookup/reduce: keys per batch-local query id.
 
     ``q_ids``/``set_ids`` are the parallel unpacked ``(q, s)`` pair
-    arrays of one kernel invocation; returns ``(local_q, keys)`` groups.
-    Two fast paths avoid the sort-and-split machinery on the common
-    shapes: a batch whose pairs all belong to one query (any one-hot
-    batch) skips grouping entirely, and pairs already sorted by query id
-    (kernels emit blocks in query order more often than not) skip the
-    argsort.
+    arrays of one kernel invocation; returns ``(local_q, keys)`` groups,
+    each query's keys in pair order.  A batch whose pairs all belong to
+    one query (any one-query batch) skips grouping entirely, and pairs
+    already sorted by query id skip the argsort.  Kernels emit pairs
+    row-major, ordered by row and then query, so a batch of several
+    queries usually takes the argsort.  A pipeline run does its lookup
+    in one step per cycle without grouping; serial callers that want
+    per-query groups use this.
     """
     if q_ids.size == 0:
         return []
@@ -189,12 +201,23 @@ class MatchPipeline:
             self.config.batch_timeout_s if batch_timeout_s == "config" else batch_timeout_s
         )
         n = query_blocks.shape[0]
-        states: list[QueryState] = []
         stats = PipelineStats()
         tagset_table = self.tagset_table
+        key_table = self.key_table
         runner = self.runner
         unit_starts = tagset_table.unit_starts
         capacity_pairs = 4 * self.config.batch_size
+        # Per-query run state (§3.4): the batches pre-process forwarded
+        # each query to, those that came back, when its feed chunk was
+        # released and when its last batch's keys were looked up.
+        expected = np.zeros(n, dtype=np.intp)
+        delivered = np.zeros(n, dtype=np.intp)
+        released = np.zeros(n)
+        completed = np.zeros(n)
+        # Every looked-up key and the query it belongs to, one array per
+        # returned cycle, in delivery order.
+        keys_out: list[np.ndarray] = []
+        owners_out: list[np.ndarray] = []
         # Batches form per dispatch unit: a fused unit's batcher covers a
         # whole run of small partitions, so one flush becomes one fused
         # kernel launch.
@@ -211,16 +234,35 @@ class MatchPipeline:
             np.empty(capacity_pairs, dtype=np.uint32),
         )
 
+        # ---------------- stage 3: key lookup/reduce ----------------
         def deliver(cycle: CycleResult | None) -> None:
+            """One vectorised step per returned batch: unpack, look the
+            keys up, count the batch against its queries and stamp the
+            queries it completes."""
             nonlocal unpack_out
             if cycle is None:
                 return
-            if cycle.num_pairs > unpack_out[0].shape[0]:
-                unpack_out = (
-                    np.empty(cycle.num_pairs, dtype=np.uint8),
-                    np.empty(cycle.num_pairs, dtype=np.uint32),
-                )
-            self._deliver(cycle, unpack_out)
+            ids = cycle.meta
+            with trace.span("post_process", pairs=int(cycle.num_pairs)):
+                if cycle.num_pairs:
+                    if cycle.num_pairs > unpack_out[0].shape[0]:
+                        unpack_out = (
+                            np.empty(cycle.num_pairs, dtype=np.uint8),
+                            np.empty(cycle.num_pairs, dtype=np.uint32),
+                        )
+                    q_local, set_ids = unpack_results(
+                        cycle.packed, cycle.num_pairs, out=unpack_out
+                    )
+                    set_ids = set_ids.astype(np.int64)
+                    keys_out.append(key_table.keys_of_many(set_ids))
+                    owners_out.append(
+                        np.repeat(ids[q_local], key_table.counts_of_many(set_ids))
+                    )
+                # Ids are unique within a batch, so one fancy-index add
+                # counts it once against each of its queries.
+                delivered[ids] += 1
+                done = ids[delivered[ids] == expected[ids]]
+                completed[done] = time.perf_counter()
 
         # ---------------- stage 2: GPU dispatch ----------------
         def dispatch(batch: Batch, reason: str) -> None:
@@ -242,7 +284,7 @@ class MatchPipeline:
             finally:
                 qbuf.free()
             stats.record_kernel(result.num_pairs, result.simulated_time_s)
-            deliver(db.push(result.packed, result.num_pairs, meta=batch.states))
+            deliver(db.push(result.packed, result.num_pairs, meta=batch.ids))
 
         def deliver_trailing() -> None:
             """Copy out every device's deferred cycle (§3.3.2 flush)."""
@@ -286,15 +328,12 @@ class MatchPipeline:
                 # relevant when any member partition is.
                 matrix = np.logical_or.reduceat(matrix, unit_starts, axis=1)
                 counts = matrix.sum(axis=1)
-                chunk_states = [QueryState(qi, unique, release) for qi in range(lo, hi)]
-                states.extend(chunk_states)
-                for state, count in zip(chunk_states, counts):
-                    if count:
-                        state.add_batches(int(count))
+                expected[lo:hi] = counts
+                released[lo:hi] = release
                 q_local, p_idx = np.nonzero(matrix)
                 if p_idx.size:
                     order = np.argsort(p_idx, kind="stable")
-                    q_sorted = q_local[order]
+                    q_sorted = q_local[order] + lo
                     p_sorted = p_idx[order]
                     boundaries = np.nonzero(np.diff(p_sorted))[0] + 1
                     starts = np.concatenate(([0], boundaries))
@@ -303,11 +342,11 @@ class MatchPipeline:
                         members = q_sorted[gs:ge]
                         full_batches.extend(
                             batchers[int(p_sorted[gs])].add_many(
-                                rows[members], [chunk_states[m] for m in members]
+                                query_blocks[members], members
                             )
                         )
-                for state in chunk_states:
-                    state.preprocess_complete()
+                # A query relevant to no unit is complete once pre-processed.
+                completed[lo:hi][counts == 0] = time.perf_counter()
             return full_batches
 
         start = time.perf_counter()
@@ -330,45 +369,22 @@ class MatchPipeline:
         finally:
             for db in double_buffers.values():
                 db.free()
-        incomplete = [state.query_index for state in states if not state.done]
-        if incomplete:
+        incomplete = np.flatnonzero(delivered != expected)
+        if incomplete.size:
             raise ReproError(
-                f"{len(incomplete)} queries did not complete, first {incomplete[0]}"
+                f"{incomplete.size} queries did not complete, first {incomplete[0]}"
             )
-        elapsed = time.perf_counter() - start
-
+        # ---------------- stage 4: merge ----------------
+        with trace.span("post_process", queries=n):
+            if keys_out:
+                keys, owners = np.concatenate(keys_out), np.concatenate(owners_out)
+            else:
+                keys, owners = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.intp)
+            results = merge_by_query(owners, keys, n, unique)
         return PipelineRun(
-            results=[state.result for state in states],
-            latencies_s=np.array([state.latency_s for state in states]),
-            elapsed_s=elapsed,
+            results=results,
+            latencies_s=completed - released,
+            elapsed_s=time.perf_counter() - start,
             stats=stats,
             epoch=self.epoch,
         )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _deliver(
-        self, cycle: CycleResult, unpack_out: tuple[np.ndarray, np.ndarray]
-    ) -> None:
-        """Key lookup/reduce for one returned batch (stage 3).
-
-        ``cycle.meta`` is the batch's query states: the kernel's local
-        query id ``i`` is ``states[i]``.  ``unpack_out`` is the run's
-        reusable unpack scratch, large enough for ``cycle.num_pairs``.
-        """
-        with trace.span("post_process", pairs=int(cycle.num_pairs)):
-            batch_states = cycle.meta
-            empty = np.empty(0, dtype=np.int64)
-            if cycle.num_pairs == 0:
-                for state in batch_states:
-                    state.deliver_keys(empty)
-                return
-            q_ids, set_ids = unpack_results(cycle.packed, cycle.num_pairs, out=unpack_out)
-            chunks: list[np.ndarray] = [empty] * len(batch_states)
-            for local_q, chunk in grouped_key_lookup(
-                q_ids, set_ids.astype(np.int64), self.key_table
-            ):
-                chunks[local_q] = chunk
-            for state, chunk in zip(batch_states, chunks):
-                state.deliver_keys(chunk)

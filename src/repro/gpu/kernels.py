@@ -253,26 +253,38 @@ def block_prefixes(sets: np.ndarray, thread_block_size: int) -> np.ndarray:
     return block_prefixes_ranges(sets, offsets[:-1], offsets[1:])
 
 
-def _lex_le_matrix(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Boolean ``(n, b)``: ``rows[i] ≤ queries[j]`` in bit-string order.
+def _and_lex_le(
+    rows: np.ndarray, queries: np.ndarray, out: np.ndarray, arena: ResultArena
+) -> None:
+    """AND ``rows[i] ≤ queries[j]`` (bit-string order) into ``out[i, j]``.
 
     Word 0 is the most significant; a bitwise subset of ``q`` is always
     numerically ≤ ``q`` in this order, so a sorted block whose minimum
-    row exceeds the query cannot contain any match.
+    row exceeds the query cannot contain any match.  The pass keeps the
+    slots decided ``≤`` so far and those still tied in arena scratch
+    tiles, and stops at the first word that leaves no tie: in sorted
+    Bloom rows that is nearly always word 0.
     """
     n, words = rows.shape
     b = queries.shape[0]
-    le = np.ones((n, b), dtype=bool)
-    decided = np.zeros((n, b), dtype=bool)
-    for w in range(words):
-        rw = rows[:, w][:, None]
-        qw = queries[:, w][None, :]
-        gt = ~decided & (rw > qw)
-        le &= ~gt
-        decided |= gt | (~decided & (rw < qw))
-        if decided.all():
+    le = arena.bools("lex_le", n, b)
+    tied = arena.bools("lex_tied", n, b)
+    np.less(rows[:, :1], queries[:, 0], out=le)
+    np.equal(rows[:, :1], queries[:, 0], out=tied)
+    for w in range(1, words):
+        if not tied.any():
             break
-    return le
+        rw, qw = rows[:, w : w + 1], queries[:, w]
+        step = arena.bools("lex_step", n, b)
+        # A tie on every earlier word: the last word decides with ≤.
+        (np.less_equal if w == words - 1 else np.less)(rw, qw, out=step)
+        step &= tied
+        le |= step
+        np.equal(rw, qw, out=step)
+        tied &= step
+    if words == 1:
+        le |= tied
+    out &= le
 
 
 def subset_match_kernel(
@@ -397,7 +409,7 @@ def subset_match_kernel(
             if member_surv is not None:
                 survive &= member_surv[member_of_block]
             if member_commons is not None:
-                survive &= _lex_le_matrix(sets[starts], queries)
+                _and_lex_le(sets[starts], queries, survive, arena)
         surviving_slots = int(np.count_nonzero(survive))
         alive = survive.any(axis=1)
     else:

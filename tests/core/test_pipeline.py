@@ -11,8 +11,10 @@ from repro.core.config import TagMatchConfig
 from repro.core.engine import TagMatch
 from repro.core.partition_table import PartitionTable
 from repro.core.pipeline import grouped_key_lookup
-from repro.core.results import QueryState
 from repro.core.runner import UnitRunner
+from repro.errors import ReproError
+from repro.gpu.doublebuffer import DoubleBufferedResults
+from repro.gpu.packing import unpack_results
 
 
 def build_engine(**overrides):
@@ -84,6 +86,15 @@ class TestCorrectness:
         qs = eng.encode_queries(make_queries(tags, rng, n=1))
         run = eng.match_stream(qs)
         assert run.num_queries == 1
+
+    def test_lost_batch_fails_the_run(self, built, monkeypatch):
+        """A query whose batch never comes back has no completion time,
+        so the run raises instead of reporting a latency for it."""
+        eng, tags, rng = built
+        qs = eng.encode_queries(make_queries(tags, rng, n=20))
+        monkeypatch.setattr(DoubleBufferedResults, "flush", lambda self: None)
+        with pytest.raises(ReproError, match="did not complete"):
+            eng.match_stream(qs, batch_timeout_s=None)
 
     def test_non_matching_queries_complete(self, built):
         eng, _, _ = built
@@ -208,9 +219,9 @@ class TestStatsAndLatency:
         qs = eng.encode_queries(make_queries(tags, rng, n=64))
         launch = UnitRunner.launch
         relevant_matrix = PartitionTable.relevant_matrix
-        finalize = QueryState._finalize
+        push, flush = DoubleBufferedResults.push, DoubleBufferedResults.flush
         pre_starts = []
-        done_at = {}
+        delivered_at = {}
 
         def slow_launch(self, *args, **kwargs):
             time.sleep(0.005)
@@ -220,13 +231,20 @@ class TestStatsAndLatency:
             pre_starts.append(time.perf_counter())
             return relevant_matrix(self, rows)
 
-        def timed_finalize(self):
-            finalize(self)
-            done_at[self.query_index] = self.complete_time
+        def timed(cycle):
+            """Note when each query's latest batch came back."""
+            if cycle is not None:
+                now = time.perf_counter()
+                for q in cycle.meta.tolist():
+                    delivered_at[q] = now
+            return cycle
 
         monkeypatch.setattr(UnitRunner, "launch", slow_launch)
         monkeypatch.setattr(PartitionTable, "relevant_matrix", timed_relevant_matrix)
-        monkeypatch.setattr(QueryState, "_finalize", timed_finalize)
+        monkeypatch.setattr(
+            DoubleBufferedResults, "push", lambda self, *a, **k: timed(push(self, *a, **k))
+        )
+        monkeypatch.setattr(DoubleBufferedResults, "flush", lambda self: timed(flush(self)))
         run = eng.match_stream(qs, arrival_rate_qps=2000.0)
         assert len(pre_starts) == 2
         # The run starts before the first chunk's pre-process, so the
@@ -236,8 +254,116 @@ class TestStatsAndLatency:
         lag = pre_starts[1] - release
         assert lag > 0.005
         # The last query's latency covers the lag as well as its own
-        # time from pre-process to merge.
-        assert run.latencies_s[63] >= (done_at[63] - pre_starts[1]) + lag
+        # time from pre-process to the return of its last batch.
+        assert run.latencies_s[63] >= (delivered_at[63] - pre_starts[1]) + lag
+
+
+class TestKeyOrder:
+    """``match_stream`` returns each query's keys in delivery order, then
+    row order: the cycles the result double buffers hand back, read in
+    the order they came back, and each cycle's pairs in their packed
+    order."""
+
+    @pytest.fixture(scope="class")
+    def units(self):
+        """An engine whose partitions are big enough to stay separate
+        dispatch units, every unit replicated on both devices."""
+        eng = TagMatch(
+            TagMatchConfig(
+                max_partition_size=128, batch_size=8, batch_timeout_s=0.01, num_gpus=2
+            )
+        )
+        rng = np.random.default_rng(5)
+        tags = [f"tag-{i}" for i in range(40)]
+        for key in range(1500):
+            size = int(rng.integers(1, 5))
+            chosen = rng.choice(40, size=size, replace=False)
+            # Keys repeat across sets, so unique=True has duplicates to drop.
+            eng.add_set({tags[c] for c in chosen}, key=key % 1100)
+        eng.consolidate()
+        assert eng.tagset_table.num_units > 4
+        yield eng, tags, rng
+        eng.close()
+
+    @pytest.fixture
+    def cycles(self, monkeypatch):
+        """Every cycle the run's double buffers return, in return order,
+        with the device that returned it."""
+        captured = []
+        push, flush = DoubleBufferedResults.push, DoubleBufferedResults.flush
+
+        def capturing_push(self, *args, **kwargs):
+            cycle = push(self, *args, **kwargs)
+            if cycle is not None:
+                captured.append((self.device, cycle))
+            return cycle
+
+        def capturing_flush(self):
+            cycle = flush(self)
+            if cycle is not None:
+                captured.append((self.device, cycle))
+            return cycle
+
+        monkeypatch.setattr(DoubleBufferedResults, "push", capturing_push)
+        monkeypatch.setattr(DoubleBufferedResults, "flush", capturing_flush)
+        return captured
+
+    @staticmethod
+    def _expected(eng, cycles, n, unique):
+        chunks = [[] for _ in range(n)]
+        for _, cycle in cycles:
+            q_local, set_ids = unpack_results(cycle.packed, cycle.num_pairs)
+            owners = cycle.meta
+            for q, s in zip(q_local.tolist(), set_ids.tolist()):
+                chunks[owners[q]].append(eng.key_table.keys_of(s))
+        out = []
+        for parts in chunks:
+            keys = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+            out.append(np.unique(keys) if unique else keys)
+        return out
+
+    def _check(self, eng, cycles, qs, unique, **kwargs):
+        run = eng.match_stream(qs, unique=unique, **kwargs)
+        want = self._expected(eng, cycles, qs.shape[0], unique)
+        assert len(run.results) == len(want) == qs.shape[0]
+        for got, expected in zip(run.results, want):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
+        return run
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_bulk_run_on_two_devices(self, units, cycles, unique):
+        eng, tags, rng = units
+        qs = eng.encode_queries(make_queries(tags, rng, n=100, size=12))
+        # A query relevant to no dispatch unit joins no batch.
+        lonely = eng.encode_queries([{"unknown-2"}])
+        assert not eng.partition_table.relevant_matrix(lonely).any()
+        qs = np.vstack([qs[:40], lonely, qs[40:]])
+        run = self._check(eng, cycles, qs, unique, batch_timeout_s=None)
+        assert run.results[40].size == 0
+        assert len({id(device) for device, _ in cycles}) == 2
+        # Some query gets keys from several cycles, so order is tested.
+        assert any(
+            sum(int(q in c.meta) for _, c in cycles) > 1
+            for q in range(qs.shape[0])
+        )
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_empty_input(self, units, cycles, unique):
+        eng, _, _ = units
+        qs = np.zeros((0, eng.hasher.num_blocks), dtype=np.uint64)
+        run = self._check(eng, cycles, qs, unique)
+        assert run.results == [] and run.latencies_s.shape == (0,)
+        assert cycles == []
+
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_paced_run_with_timeout_flushes(self, units, cycles, unique):
+        eng, tags, rng = units
+        qs = eng.encode_queries(make_queries(tags, rng, n=45, size=12))
+        run = self._check(
+            eng, cycles, qs, unique, batch_timeout_s=0.005, arrival_rate_qps=1000.0
+        )
+        assert run.stats.timeout_flushes > 0
 
 
 class TestScaleAndStress:

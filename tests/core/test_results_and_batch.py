@@ -1,4 +1,4 @@
-"""Tests for per-query state, merge semantics, and partition batchers."""
+"""Tests for merge semantics and partition batchers."""
 
 import time
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatcherSet, PartitionBatcher
-from repro.core.results import QueryState, merge_keys
-from repro.errors import ReproError, ValidationError
+from repro.core.results import merge_by_query, merge_keys
+from repro.errors import ValidationError
 
 
 class TestMergeKeys:
@@ -24,60 +24,28 @@ class TestMergeKeys:
         assert merge_keys([], unique=True).size == 0
 
 
-class TestQueryState:
-    def test_zero_batches_completes_at_preprocess(self):
-        state = QueryState(0, unique=False)
-        state.preprocess_complete()
-        assert state.done
-        assert state.result.size == 0
+class TestMergeByQuery:
+    def test_keeps_each_querys_key_order(self):
+        owners = np.array([1, 0, 1, 1, 0], dtype=np.intp)
+        keys = np.array([9, 4, 2, 9, 1], dtype=np.int64)
+        out = merge_by_query(owners, keys, 3, unique=False)
+        assert [r.tolist() for r in out] == [[4, 1], [9, 2, 9], []]
+        assert all(r.dtype == np.int64 for r in out)
 
-    def test_completes_when_counter_hits_zero(self):
-        state = QueryState(0, unique=False)
-        state.add_batch()
-        state.add_batch()
-        state.preprocess_complete()
-        state.deliver_keys(np.array([1]))
-        assert not state.done
-        state.deliver_keys(np.array([2]))
-        assert state.done
-        assert sorted(state.result.tolist()) == [1, 2]
+    def test_unique_sorts_and_deduplicates_per_query(self):
+        # Query 1's smallest key equals query 0's largest: it stays.
+        owners = np.array([1, 0, 1, 1, 0, 0], dtype=np.intp)
+        keys = np.array([9, 4, 4, 9, 4, 2], dtype=np.int64)
+        out = merge_by_query(owners, keys, 3, unique=True)
+        assert [r.tolist() for r in out] == [[2, 4], [4, 9], []]
 
-    def test_delivery_before_preprocess_complete(self):
-        """GPUs can return a batch before pre-processing finishes."""
-        state = QueryState(0, unique=False)
-        state.add_batch()
-        state.deliver_keys(np.array([5]))
-        assert not state.done
-        state.preprocess_complete()
-        assert state.done
-        assert state.result.tolist() == [5]
-
-    def test_unique_merge(self):
-        state = QueryState(0, unique=True)
-        state.add_batch()
-        state.add_batch()
-        state.preprocess_complete()
-        state.deliver_keys(np.array([7, 7, 3]))
-        state.deliver_keys(np.array([7]))
-        assert state.result.tolist() == [3, 7]
-
-    def test_deliver_without_pending_raises(self):
-        state = QueryState(0, unique=False)
-        with pytest.raises(ReproError):
-            state.deliver_keys(np.array([1]))
-
-    def test_add_batch_after_preprocess_raises(self):
-        state = QueryState(0, unique=False)
-        state.preprocess_complete()
-        with pytest.raises(ReproError):
-            state.add_batch()
-
-    def test_latency_requires_completion(self):
-        state = QueryState(0, unique=False)
-        with pytest.raises(ReproError):
-            _ = state.latency_s
-        state.preprocess_complete()
-        assert state.latency_s >= 0
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_no_keys(self, unique):
+        out = merge_by_query(
+            np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), 2, unique
+        )
+        assert [r.size for r in out] == [0, 0]
+        assert all(r.dtype == np.int64 for r in out)
 
 
 def make_row(value):
@@ -87,25 +55,36 @@ def make_row(value):
 class TestPartitionBatcher:
     def test_emits_when_full(self):
         batcher = PartitionBatcher(3, batch_size=2, num_words=3)
-        s0, s1 = QueryState(0, False), QueryState(1, False)
-        assert batcher.add(make_row(1), s0) is None
-        batch = batcher.add(make_row(2), s1)
+        assert batcher.add(make_row(1), 5) is None
+        batch = batcher.add(make_row(2), 7)
         assert batch is not None
         assert batch.partition_id == 3
         assert len(batch) == 2
         assert batch.queries.shape == (2, 3)
+        assert batch.ids.tolist() == [5, 7]
+        assert batch.queries[:, 0].tolist() == [1, 2]
         assert batcher.pending == 0
+
+    def test_add_many_splits_full_batches_in_order(self):
+        batcher = PartitionBatcher(0, batch_size=2, num_words=3)
+        rows = np.vstack([make_row(v) for v in range(5)])
+        batches = batcher.add_many(rows, np.arange(10, 15, dtype=np.intp))
+        assert [b.ids.tolist() for b in batches] == [[10, 11], [12, 13]]
+        assert [b.queries[:, 0].tolist() for b in batches] == [[0, 1], [2, 3]]
+        assert batcher.pending == 1
+        rest = batcher.flush()
+        assert rest.ids.tolist() == [14] and rest.queries[:, 0].tolist() == [4]
 
     def test_flush_emits_partial(self):
         batcher = PartitionBatcher(0, batch_size=10, num_words=3)
-        batcher.add(make_row(1), QueryState(0, False))
+        batcher.add(make_row(1), 0)
         batch = batcher.flush()
         assert len(batch) == 1
         assert batcher.flush() is None
 
     def test_flush_if_stale_respects_age(self):
         batcher = PartitionBatcher(0, batch_size=10, num_words=3)
-        batcher.add(make_row(1), QueryState(0, False))
+        batcher.add(make_row(1), 0)
         assert batcher.flush_if_stale(10.0) is None
         time.sleep(0.02)
         assert batcher.flush_if_stale(0.01) is not None
@@ -116,7 +95,7 @@ class TestPartitionBatcher:
 
     def test_age_resets_after_emit(self):
         batcher = PartitionBatcher(0, batch_size=1, num_words=3)
-        batcher.add(make_row(1), QueryState(0, False))  # emitted immediately
+        batcher.add(make_row(1), 0)  # emitted immediately
         assert batcher.flush_if_stale(0.0) is None
 
     def test_zero_batch_size_rejected(self):
@@ -127,21 +106,21 @@ class TestPartitionBatcher:
 class TestBatcherSet:
     def test_flush_all(self):
         batchers = BatcherSet(3, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), QueryState(0, False))
-        batchers[2].add(make_row(2), QueryState(1, False))
+        batchers[0].add(make_row(1), 0)
+        batchers[2].add(make_row(2), 1)
         batches = batchers.flush_all()
         assert sorted(b.partition_id for b in batches) == [0, 2]
 
     def test_total_pending(self):
         batchers = BatcherSet(2, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), QueryState(0, False))
-        batchers[1].add(make_row(2), QueryState(1, False))
+        batchers[0].add(make_row(1), 0)
+        batchers[1].add(make_row(2), 1)
         assert batchers.total_pending == 2
 
     def test_flush_stale_only_old(self):
         batchers = BatcherSet(2, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), QueryState(0, False))
+        batchers[0].add(make_row(1), 0)
         time.sleep(0.02)
-        batchers[1].add(make_row(2), QueryState(1, False))
+        batchers[1].add(make_row(2), 1)
         stale = batchers.flush_stale(0.015)
         assert [b.partition_id for b in stale] == [0]
