@@ -78,8 +78,9 @@ def measure_modes(
     once with it on, alternating which goes first, and times both in
     process CPU seconds, so time the host gives other processes stays
     out.  The overhead is the median of the per-pair CPU-time ratios: a
-    noisy moment spoils one pair, not the verdict.  Runs use
-    ``batch_timeout_s=None``, so both modes launch the same batches.
+    noisy moment spoils one pair, not the verdict.  Runs are unpaced, so
+    they ship only full and shutdown batches and both modes launch the
+    same ones.
     """
     trace.disable()
     trace.clear()
@@ -94,7 +95,7 @@ def measure_modes(
             else:
                 trace.disable()
             c0 = process_time()
-            engine.match_stream(queries, batch_timeout_s=None)
+            engine.match_stream(queries)
             cpu[mode].append(process_time() - c0)
             if mode == "on":
                 spans_per_run = trace.count()

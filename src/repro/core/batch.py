@@ -1,9 +1,10 @@
 """Per-partition query batching with flush timeouts (§3).
 
 The pre-process stage enqueues each query into the batch of every
-relevant partition.  A batch ships to the GPU when it is full — or, to
-bound latency for partitions that fill slowly, when it has been sitting
-for longer than a configurable timeout (Figure 6 studies this knob).
+relevant partition.  A batch ships to the GPU when it is full — or, in
+a paced run, to bound latency for partitions that fill slowly, when it
+has been sitting for longer than a configurable timeout (Figure 6
+studies this knob).
 """
 
 from __future__ import annotations
@@ -42,28 +43,22 @@ class PartitionBatcher:
     Local to one pipeline run, so it takes no lock.
     """
 
-    def __init__(self, partition_id: int, batch_size: int, num_words: int) -> None:
+    def __init__(self, partition_id: int, batch_size: int) -> None:
         if batch_size <= 0:
             raise ValidationError("batch_size must be positive")
         self.partition_id = partition_id
         self.batch_size = batch_size
-        self._num_words = num_words
         self._rows: list[np.ndarray] = []
         self._ids: list[np.ndarray] = []
         self._pending = 0
         self._oldest: float | None = None
 
-    def add(self, query_row: np.ndarray, query_id: int) -> Batch | None:
-        """Append one query; return a full batch if this filled it."""
-        full = self.add_many(query_row.reshape(1, -1), np.array([query_id], dtype=np.intp))
-        return full[0] if full else None
-
     def add_many(self, rows: np.ndarray, ids: np.ndarray) -> list[Batch]:
-        """Append several queries at once; return every filled batch.
+        """Append queries; return every batch they filled.
 
-        The bulk path serves the vectorized pre-process stage: one call
-        per (chunk, partition) pair instead of one per query.  ``rows``
-        is 2-D, parallel to the ``np.intp`` query ids ``ids``.
+        The vectorized pre-process stage makes one call per (chunk,
+        partition) pair.  ``rows`` is 2-D, parallel to the ``np.intp``
+        query ids ``ids``.
         """
         if not self._pending:
             self._oldest = time.perf_counter()
@@ -123,10 +118,9 @@ class PartitionBatcher:
 class BatcherSet:
     """All partition batchers of one run, plus the scan for stale batches."""
 
-    def __init__(self, num_partitions: int, batch_size: int, num_words: int) -> None:
+    def __init__(self, num_partitions: int, batch_size: int) -> None:
         self.batchers = [
-            PartitionBatcher(pid, batch_size, num_words)
-            for pid in range(num_partitions)
+            PartitionBatcher(pid, batch_size) for pid in range(num_partitions)
         ]
 
     def __getitem__(self, partition_id: int) -> PartitionBatcher:
@@ -146,7 +140,3 @@ class BatcherSet:
         """When the oldest pending batch goes stale (``None``: nothing pending)."""
         oldest = [b.oldest for b in self.batchers if b.oldest is not None]
         return min(oldest) + timeout_s if oldest else None
-
-    @property
-    def total_pending(self) -> int:
-        return sum(b.pending for b in self.batchers)

@@ -2,10 +2,11 @@
 
 ``add-set``/``remove-set`` stage changes, ``consolidate`` rebuilds the
 partitioned index (Algorithm 1) and uploads the tagset table to the
-simulated GPUs, and ``match``/``match-unique`` answer subset queries —
-one query per launch, or through the four-stage batched pipeline for
-high-throughput streams (:meth:`TagMatch.match_stream`).  Every path
-runs in the calling thread.
+simulated GPUs, and ``match``/``match-unique`` answer subset queries
+through the four-stage pipeline of :mod:`repro.core.pipeline`: a single
+query is a one-row run, a stream of encoded queries is
+:meth:`TagMatch.match_stream`.  The engine launches no kernel itself;
+every path runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.core.key_table import KeyTable
 from repro.core.partition_table import PartitionTable
 from repro.core.partitioning import Partition, PartitioningResult, balanced_partition
 from repro.core.pipeline import MatchPipeline, PipelineRun
-from repro.core.results import merge_keys
 from repro.core.runner import UnitRunner
 from repro.core.staging import ConsolidatedDatabase, StagingArea
 from repro.core.tagset_table import TagsetTable
@@ -77,7 +77,9 @@ class TagMatch:
         self._store_tags = self.config.exact_check
         self._staging = StagingArea(self.hasher, store_tags=self._store_tags)
         self._database: ConsolidatedDatabase | None = None
-        self._exact_sets: dict[int, list[frozenset[str]]] = {}
+        #: ``exact_check`` engines: each association's original tag set,
+        #: in key-table order (parallel to ``key_table.keys``).
+        self._key_tags: list[frozenset[str]] | None = None
         self.key_table: KeyTable | None = None
         self.partition_table: PartitionTable | None = None
         self.tagset_table: TagsetTable | None = None
@@ -152,10 +154,10 @@ class TagMatch:
         self.key_table = KeyTable.from_grouped(inverse, keys, unique_blocks.shape[0])
 
         if self._store_tags:
-            self._exact_sets = {}
-            assert self._database.tag_sets is not None
-            for row, tags in zip(inverse, self._database.tag_sets):
-                self._exact_sets.setdefault(int(row), []).append(tags)
+            # The key table groups associations by a stable sort on their
+            # set id; the same sort puts the tag sets in its order.
+            tag_sets = self._database.tag_sets
+            self._key_tags = [tag_sets[i] for i in np.argsort(inverse, kind="stable")]
 
         partitioning = balanced_partition(
             unique_blocks,
@@ -196,6 +198,7 @@ class TagMatch:
             self.key_table,
             self.config,
             epoch=self.epoch,
+            key_tags=self._key_tags,
         )
         self.backend = self.pipeline.runner
 
@@ -271,46 +274,19 @@ class TagMatch:
         return self._match_one(tags, unique=True)
 
     def _match_one(self, tags, unique: bool) -> np.ndarray:
+        """Match one query as a one-row pipeline run.
+
+        ``exact_check`` engines pass the query's tags along, so the run's
+        lookup drops the keys of Bloom false positives.
+        """
         self._check_consolidated()
-        tag_set = frozenset(tags) if self._store_tags else None
-        return self._match_row(self.encode(tags), unique, tag_set)
-
-    def _match_row(
-        self, query: np.ndarray, unique: bool, tag_set: frozenset | None = None
-    ) -> np.ndarray:
-        """Match one encoded query, one kernel launch per relevant unit.
-
-        With ``tag_set`` (``exact_check`` engines) Bloom false positives
-        are dropped against the stored original sets.
-        """
-        relevant = self.partition_table.relevant_partitions(query)
-        batch = query.reshape(1, -1)
-        chunks: list[np.ndarray] = []
-        for uid in self.tagset_table.units_for(relevant):
-            set_ids = self.backend.launch(int(uid), batch).set_ids.astype(np.int64)
-            if tag_set is not None and set_ids.size:
-                set_ids = self._exact_filter(set_ids, tag_set)
-            if set_ids.size:
-                chunks.append(self.key_table.keys_of_many(set_ids))
-        return merge_keys(chunks, unique)
-
-    def _exact_filter(self, set_ids: np.ndarray, query_tags: frozenset) -> np.ndarray:
-        """Drop Bloom false positives using the stored original sets."""
-        keep = [
-            sid
-            for sid in set_ids
-            if any(ts <= query_tags for ts in self._exact_sets.get(int(sid), []))
-        ]
-        return np.array(keep, dtype=np.int64)
-
-    def match_batch(self, query_blocks: np.ndarray, unique: bool = False) -> list[np.ndarray]:
-        """Match each row with :meth:`match`'s per-query launches.
-
-        Deterministic; used by tests and the CPU-only baseline.
-        ``query_blocks`` is an ``(n, blocks)`` array.
-        """
-        self._check_encoded_ok("match_batch")
-        return [self._match_row(row, unique) for row in query_blocks]
+        tags = frozenset(tags)
+        run = self.pipeline.run(
+            self.encode(tags).reshape(1, -1),
+            unique=unique,
+            query_tags=[tags] if self._store_tags else None,
+        )
+        return run.results[0]
 
     def match_stream(
         self,

@@ -78,6 +78,11 @@ class KeyTable:
         The result preserves multiset semantics: a set id appearing twice
         contributes its keys twice.
         """
+        return self.keys[self.positions_of_many(set_ids)]
+
+    def positions_of_many(self, set_ids: np.ndarray) -> np.ndarray:
+        """Indices into :attr:`keys` of the keys :meth:`keys_of_many`
+        returns, in the same order."""
         set_ids = np.asarray(set_ids, dtype=np.int64)
         if set_ids.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -94,7 +99,7 @@ class KeyTable:
         np.cumsum(lengths[:-1], out=out_offsets[1:])
         index = np.arange(total, dtype=np.int64)
         index += np.repeat(starts - out_offsets, lengths)
-        return self.keys[index]
+        return index
 
     def counts_of_many(self, set_ids: np.ndarray) -> np.ndarray:
         """Number of keys per set id (parallel to ``set_ids``)."""

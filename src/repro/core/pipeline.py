@@ -15,9 +15,12 @@ does every stage in the calling thread, in one loop: feed a chunk,
 pre-process it, launch each batch it fills, unpack and look up the
 returned cycles.  With no concurrent streams to keep busy, a run keeps
 one even/odd result double buffer per device, so a batch's results come
-back at the next launch on the same device.  Paced runs keep their
-wall-clock flush timeouts by sleeping no longer than the oldest pending
-batch's deadline.
+back at the next launch on the same device.  Only paced runs apply the
+wall-clock flush timeout, sleeping no longer than the oldest pending
+batch's deadline.  An unpaced run's queries all arrive at the start, so
+it ships only full batches and the shutdown flush: its batches and
+launches depend on the queries and the index alone.  ``match`` and
+``match-unique`` are one-row runs.
 
 A run holds its per-query state in arrays indexed by the query's row:
 the batches pre-process forwarded it to (the row sums of the unit
@@ -28,6 +31,10 @@ keys at once, add one to the delivered count of each query in the batch
 and stamp the queries that are now complete.  The merge runs once, at
 the end of the run: one stable sort by query splits the looked-up keys
 into per-query results, each in delivery order, then row order.
+
+With ``exact_check`` the lookup is the verify half of a filter/verify
+split: it keeps a key only if its own association's tag set is a subset
+of its query's tags.
 """
 
 from __future__ import annotations
@@ -164,6 +171,7 @@ class MatchPipeline:
         key_table: KeyTable,
         config: TagMatchConfig,
         epoch: int = 0,
+        key_tags: list[frozenset[str]] | None = None,
     ) -> None:
         self.partition_table = partition_table
         self.tagset_table = tagset_table
@@ -172,8 +180,10 @@ class MatchPipeline:
         #: Index generation of the tables this pipeline serves (see
         #: :attr:`PipelineRun.epoch`).
         self.epoch = epoch
-        #: Launches the stage-2 kernels; the engine's synchronous paths
-        #: share it.
+        #: Each association's original tag set, parallel to
+        #: ``key_table.keys`` (``exact_check`` engines only).
+        self.key_tags = key_tags
+        #: Launches the stage-2 kernels.
         self.runner = UnitRunner(tagset_table, config)
 
     # ------------------------------------------------------------------
@@ -186,20 +196,29 @@ class MatchPipeline:
         num_threads: int | None = None,
         batch_timeout_s: float | None | str = "config",
         arrival_rate_qps: float | None = None,
+        query_tags: list[frozenset[str]] | None = None,
     ) -> PipelineRun:
         """Match every row of ``query_blocks`` in the calling thread.
 
         Queries are fed in chunks of 32.  By default they all arrive at
-        once; ``arrival_rate_qps`` paces them (the latency experiment of
-        Figure 6): each chunk is released at its scheduled time, and a
-        query's latency runs from that time.  ``num_threads`` is ignored:
+        once and the run ships only full batches and the shutdown flush.
+        ``arrival_rate_qps`` paces them (the latency experiment of
+        Figure 6): each chunk is released at its scheduled time, a
+        query's latency runs from that time, and a batch pending longer
+        than ``batch_timeout_s`` (default: the config's) ships early.
+        ``query_tags``, parallel to the rows, turns on the exact check
+        against the pipeline's ``key_tags``.  ``num_threads`` is ignored:
         ``perfbench/runners.py`` passes it.
         """
         if query_blocks.ndim != 2:
             raise ReproError("query_blocks must be a 2-D block array")
-        timeout = (
-            self.config.batch_timeout_s if batch_timeout_s == "config" else batch_timeout_s
-        )
+        timeout = None
+        if arrival_rate_qps:
+            timeout = (
+                self.config.batch_timeout_s
+                if batch_timeout_s == "config"
+                else batch_timeout_s
+            )
         n = query_blocks.shape[0]
         stats = PipelineStats()
         tagset_table = self.tagset_table
@@ -221,9 +240,7 @@ class MatchPipeline:
         # Batches form per dispatch unit: a fused unit's batcher covers a
         # whole run of small partitions, so one flush becomes one fused
         # kernel launch.
-        batchers = BatcherSet(
-            tagset_table.num_units, self.config.batch_size, query_blocks.shape[1]
-        )
+        batchers = BatcherSet(tagset_table.num_units, self.config.batch_size)
         # Every device the run launches on gets one pair of even/odd
         # result buffers (§3.3.2).  The kernel arena is the run's own, so
         # two runs on one engine never share one.
@@ -254,10 +271,20 @@ class MatchPipeline:
                         cycle.packed, cycle.num_pairs, out=unpack_out
                     )
                     set_ids = set_ids.astype(np.int64)
-                    keys_out.append(key_table.keys_of_many(set_ids))
-                    owners_out.append(
-                        np.repeat(ids[q_local], key_table.counts_of_many(set_ids))
-                    )
+                    owners = np.repeat(ids[q_local], key_table.counts_of_many(set_ids))
+                    if query_tags is None:
+                        keys_out.append(key_table.keys_of_many(set_ids))
+                    else:
+                        # Exact check: keep the keys whose association's
+                        # tags are a subset of their query's.
+                        pos = key_table.positions_of_many(set_ids)
+                        pairs = zip(pos.tolist(), owners.tolist())
+                        keep = np.array(
+                            [self.key_tags[p] <= query_tags[q] for p, q in pairs], bool
+                        )
+                        keys_out.append(key_table.keys[pos[keep]])
+                        owners = owners[keep]
+                    owners_out.append(owners)
                 # Ids are unique within a batch, so one fancy-index add
                 # counts it once against each of its queries.
                 delivered[ids] += 1

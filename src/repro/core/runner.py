@@ -1,12 +1,13 @@
 """The unit runner: the one place a subset-match kernel is launched.
 
 Every matching path launches the kernel (Algorithms 3–4) against one
-dispatch unit of the tagset table through :class:`UnitRunner`:
-``TagMatch.match``/``match_unique`` and ``TagMatch.match_batch`` one
-query at a time, and a pipeline run's copy-in/kernel/push sequence one
-batch at a time.  Each launch runs in the calling thread and charges the
-unit's device clock exactly once, so simulated device time and launch
-counts agree across paths for the same work.
+dispatch unit of the tagset table through :class:`UnitRunner`, from one
+call site: a pipeline run's copy-in/kernel/push sequence, one batch at a
+time.  ``TagMatch.match``/``match_unique`` are one-row runs and
+``TagMatch.match_stream`` a many-row one.  Each launch runs in the
+calling thread and charges the unit's device clock exactly once, so
+simulated device time and launch counts agree across paths for the same
+work.
 """
 
 from __future__ import annotations

@@ -137,6 +137,11 @@ def load_snapshot(path: str, config: TagMatchConfig | None = None):
             raise ValidationError(
                 "Bloom geometry of the override config does not match the snapshot"
             )
+        if config.exact_check:
+            raise ValidationError(
+                "snapshots do not store original tag sets (exact_check engines "
+                "cannot be loaded from one)"
+            )
         db_blocks = archive["db_blocks"]
         db_keys = archive["db_keys"]
         masks = archive["partition_masks"]

@@ -1,6 +1,5 @@
 """Benchmark harness: measurement, experiments, reporting (DESIGN.md §3)."""
 
-from repro.harness.projection import FullScaleProjection, project_full_scale
 from repro.harness.reporting import (
     ExperimentResult,
     format_series_chart,
@@ -18,13 +17,11 @@ from repro.harness.workload_cache import (
 __all__ = [
     "BENCH_MAX_P",
     "ExperimentResult",
-    "FullScaleProjection",
     "ThroughputResult",
     "build_engine",
     "default_engine_config",
     "format_series_chart",
     "format_table",
-    "project_full_scale",
     "latency_percentiles",
     "measure_matcher",
     "save_result",

@@ -400,10 +400,10 @@ class MatchServer:
 
         The frozen run always uses multiset semantics so tombstone
         subtraction is exact; per-query ``unique`` is applied after the
-        overlay.  No inner flush timeout: a run is everything queued when
-        it starts, so waiting on a timer could only add latency.
+        overlay.  The run is unpaced (everything queued when it starts), so
+        it ships only full batches and the shutdown flush.
         """
-        run = engine.match_stream(blocks, unique=False, batch_timeout_s=None)
+        run = engine.match_stream(blocks, unique=False)
         results = apply_delta(run.results, blocks, view, unique_flags)
         return results, run.epoch
 

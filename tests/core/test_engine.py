@@ -85,21 +85,21 @@ class TestBulkAndBatch:
         engine.consolidate()
         assert engine.match({"a"}).tolist() == [10]
 
-    def test_match_batch_agrees_with_match(self, engine):
+    def test_match_stream_agrees_with_match(self, engine):
         build_small(engine)
         tag_sets = [{"cats", "memes"}, {"rust", "x"}, {"none"}]
         qs = engine.encode_queries(tag_sets)
-        batch = engine.match_batch(qs)
+        stream = engine.match_stream(qs).results
         singles = [engine.match(t) for t in tag_sets]
-        for b, s in zip(batch, singles):
+        for b, s in zip(stream, singles):
             assert sorted(b.tolist()) == sorted(s.tolist())
 
-    def test_match_batch_unique(self, engine):
+    def test_match_stream_unique(self, engine):
         engine.add_set({"a"}, key=9)
         engine.add_set({"a", "b"}, key=9)
         engine.consolidate()
         qs = engine.encode_queries([{"a", "b"}])
-        assert engine.match_batch(qs, unique=True)[0].tolist() == [9]
+        assert engine.match_stream(qs, unique=True).results[0].tolist() == [9]
 
 
 class TestConsolidateReport:
@@ -172,6 +172,21 @@ class TestExactCheck:
                 }
                 assert got == expected
 
+    def test_exact_check_keeps_only_subset_keys_of_a_shared_signature(self):
+        """Two tag sets with one Bloom signature share a set id; the exact
+        check must keep only the keys whose own tags are a subset."""
+        cfg = TagMatchConfig(width=64, num_hashes=1, exact_check=True)
+        with TagMatch(cfg) as eng:
+            assert np.array_equal(eng.encode({"t0"}), eng.encode({"t20"}))
+            eng.add_set({"t0"}, key=1)
+            eng.add_set({"t20"}, key=2)
+            eng.consolidate()
+            assert eng.num_unique_sets == 1
+            assert eng.match({"t0"}).tolist() == [1]
+            assert eng.match_unique({"t0"}).tolist() == [1]
+            assert eng.match({"t20"}).tolist() == [2]
+            assert sorted(eng.match({"t0", "t20"}).tolist()) == [1, 2]
+
     def test_exact_check_incompatible_with_bulk(self):
         cfg = TagMatchConfig(exact_check=True)
         with TagMatch(cfg) as eng:
@@ -189,15 +204,13 @@ class TestExactCheck:
             assert eng.match({"a", "b"}).tolist() == [2]
 
     def test_encoded_block_apis_refuse_exact_check(self):
-        """match_batch/match_stream only see encoded blocks, so they cannot
-        filter Bloom false positives the way match() does: they refuse."""
+        """match_stream only sees encoded blocks, so it cannot filter Bloom
+        false positives the way match() does: it refuses."""
         cfg = TagMatchConfig(exact_check=True, batch_timeout_s=None)
         with TagMatch(cfg) as eng:
             eng.add_set({"a"}, key=1)
             eng.consolidate()
             blocks = eng.encode_queries([{"a", "b"}])
-            with pytest.raises(ValidationError, match="exact_check"):
-                eng.match_batch(blocks)
             with pytest.raises(ValidationError, match="exact_check"):
                 eng.match_stream(blocks)
             assert eng.match({"a", "b"}).tolist() == [1]

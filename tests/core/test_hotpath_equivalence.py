@@ -2,7 +2,7 @@
 
 Every engine fuses small partitions into shared dispatch units and runs
 the hierarchical coarse pre-filter; both are execution-plan choices, so
-``match``, ``match_batch`` and ``match_stream`` must return exactly what
+``match`` and ``match_stream`` must return exactly what
 a brute-force scan over the same signatures returns, duplicate queries
 included.
 """
@@ -53,7 +53,6 @@ def every_path(engine, queries):
     blocks = engine.encode_queries(queries)
     return {
         "match": canonical([engine.match(tags) for tags in queries]),
-        "match_batch": canonical(engine.match_batch(blocks)),
         "match_stream": canonical(engine.match_stream(blocks).results),
     }
 
@@ -132,7 +131,6 @@ def test_fused_table_reduces_launches():
         blocks = engine.encode_queries(queries)
         calls = {
             "match": lambda: [engine.match(tags) for tags in queries],
-            "match_batch": lambda: engine.match_batch(blocks),
             "match_stream": lambda: engine.match_stream(blocks).results,
         }
         for path, call in calls.items():

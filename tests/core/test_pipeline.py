@@ -117,7 +117,7 @@ class TestCorrectness:
         the other's kernel output, and the device loses no transfer."""
         eng, tags, rng = build_engine(num_gpus=1)
         blocks = [eng.encode_queries(make_queries(tags, rng, n=200)) for _ in range(2)]
-        expected = [canonical(eng.match_batch(b)) for b in blocks]
+        expected = [canonical(eng.match_stream(b).results) for b in blocks]
         got = [None, None]
         launches = [0, 0]
         errors = []
@@ -164,7 +164,6 @@ class TestCorrectness:
         eng, tags, rng = build_engine()
         qs = eng.encode_queries(make_queries(tags, rng, n=40))
         eng.match(make_queries(tags, rng, n=1)[0])
-        eng.match_batch(qs)
         eng.match_stream(qs)
         eng.match_stream(qs, batch_timeout_s=0.01, arrival_rate_qps=4000.0)
         assert threading.active_count() == before

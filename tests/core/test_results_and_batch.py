@@ -52,12 +52,16 @@ def make_row(value):
     return np.array([value, 0, 0], dtype=np.uint64)
 
 
+def add_one(batcher, value, query_id):
+    """Queue one query through ``add_many``; return the batches it filled."""
+    return batcher.add_many(make_row(value).reshape(1, -1), np.array([query_id], np.intp))
+
+
 class TestPartitionBatcher:
     def test_emits_when_full(self):
-        batcher = PartitionBatcher(3, batch_size=2, num_words=3)
-        assert batcher.add(make_row(1), 5) is None
-        batch = batcher.add(make_row(2), 7)
-        assert batch is not None
+        batcher = PartitionBatcher(3, batch_size=2)
+        assert add_one(batcher, 1, 5) == []
+        (batch,) = add_one(batcher, 2, 7)
         assert batch.partition_id == 3
         assert len(batch) == 2
         assert batch.queries.shape == (2, 3)
@@ -66,7 +70,7 @@ class TestPartitionBatcher:
         assert batcher.pending == 0
 
     def test_add_many_splits_full_batches_in_order(self):
-        batcher = PartitionBatcher(0, batch_size=2, num_words=3)
+        batcher = PartitionBatcher(0, batch_size=2)
         rows = np.vstack([make_row(v) for v in range(5)])
         batches = batcher.add_many(rows, np.arange(10, 15, dtype=np.intp))
         assert [b.ids.tolist() for b in batches] == [[10, 11], [12, 13]]
@@ -76,51 +80,46 @@ class TestPartitionBatcher:
         assert rest.ids.tolist() == [14] and rest.queries[:, 0].tolist() == [4]
 
     def test_flush_emits_partial(self):
-        batcher = PartitionBatcher(0, batch_size=10, num_words=3)
-        batcher.add(make_row(1), 0)
+        batcher = PartitionBatcher(0, batch_size=10)
+        add_one(batcher, 1, 0)
         batch = batcher.flush()
         assert len(batch) == 1
         assert batcher.flush() is None
 
     def test_flush_if_stale_respects_age(self):
-        batcher = PartitionBatcher(0, batch_size=10, num_words=3)
-        batcher.add(make_row(1), 0)
+        batcher = PartitionBatcher(0, batch_size=10)
+        add_one(batcher, 1, 0)
         assert batcher.flush_if_stale(10.0) is None
         time.sleep(0.02)
         assert batcher.flush_if_stale(0.01) is not None
 
     def test_stale_empty_is_none(self):
-        batcher = PartitionBatcher(0, batch_size=4, num_words=3)
+        batcher = PartitionBatcher(0, batch_size=4)
         assert batcher.flush_if_stale(0.0) is None
 
     def test_age_resets_after_emit(self):
-        batcher = PartitionBatcher(0, batch_size=1, num_words=3)
-        batcher.add(make_row(1), 0)  # emitted immediately
+        batcher = PartitionBatcher(0, batch_size=1)
+        assert len(add_one(batcher, 1, 0)) == 1  # emitted immediately
         assert batcher.flush_if_stale(0.0) is None
 
     def test_zero_batch_size_rejected(self):
         with pytest.raises(ValidationError):
-            PartitionBatcher(0, batch_size=0, num_words=3)
+            PartitionBatcher(0, batch_size=0)
 
 
 class TestBatcherSet:
     def test_flush_all(self):
-        batchers = BatcherSet(3, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), 0)
-        batchers[2].add(make_row(2), 1)
+        batchers = BatcherSet(3, batch_size=10)
+        add_one(batchers[0], 1, 0)
+        add_one(batchers[2], 2, 1)
+        assert [b.pending for b in batchers.batchers] == [1, 0, 1]
         batches = batchers.flush_all()
         assert sorted(b.partition_id for b in batches) == [0, 2]
 
-    def test_total_pending(self):
-        batchers = BatcherSet(2, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), 0)
-        batchers[1].add(make_row(2), 1)
-        assert batchers.total_pending == 2
-
     def test_flush_stale_only_old(self):
-        batchers = BatcherSet(2, batch_size=10, num_words=3)
-        batchers[0].add(make_row(1), 0)
+        batchers = BatcherSet(2, batch_size=10)
+        add_one(batchers[0], 1, 0)
         time.sleep(0.02)
-        batchers[1].add(make_row(2), 1)
+        add_one(batchers[1], 2, 1)
         stale = batchers.flush_stale(0.015)
         assert [b.partition_id for b in stale] == [0]

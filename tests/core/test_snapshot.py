@@ -123,6 +123,12 @@ class TestGuards:
             with pytest.raises(ValidationError):
                 eng.save(str(tmp_path / "x.npz"))
 
+    def test_exact_check_override_rejected(self, built, tmp_path):
+        path = str(tmp_path / "x.npz")
+        built.save(path)
+        with pytest.raises(ValidationError, match="exact_check"):
+            TagMatch.load(path, config=TagMatchConfig(exact_check=True))
+
     def test_empty_database_roundtrip(self, tmp_path):
         with TagMatch(TagMatchConfig(batch_timeout_s=None)) as eng:
             eng.consolidate()
@@ -187,7 +193,7 @@ class TestLegacySnapshots:
             oracle = LinearScanMatcher()
             oracle.build(workload.blocks, workload.keys)
             blocks = workload.queries(40, seed=3).blocks
-            got = [sorted(r.tolist()) for r in loaded.match_batch(blocks)]
+            got = [sorted(r.tolist()) for r in loaded.match_stream(blocks).results]
             assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
         finally:
             loaded.close()
@@ -200,7 +206,7 @@ class TestLegacySnapshots:
             oracle = LinearScanMatcher()
             oracle.build(workload.blocks, workload.keys)
             blocks = workload.queries(40, seed=3).blocks
-            got = [sorted(r.tolist()) for r in loaded.match_batch(blocks)]
+            got = [sorted(r.tolist()) for r in loaded.match_stream(blocks).results]
             assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
         finally:
             loaded.close()

@@ -1,8 +1,8 @@
 """Every matching path launches kernels through the one unit runner.
 
-``match`` per query, ``match_batch`` and ``match_stream`` must return
-the same key multisets as a brute-force scan, and charge the simulated
-device clocks identically for the same (query, unit) launches.
+``match`` per query and ``match_stream`` must return the same key
+multisets as a brute-force scan, and charge the simulated device clocks
+identically for the same (query, unit) launches.
 """
 
 import numpy as np
@@ -65,7 +65,6 @@ def test_paths_agree_on_results_and_device_clocks(database, queries, knobs):
         single, single_clock = charged(
             engine, lambda: [engine.match(tags) for tags in queries]
         )
-        batch, batch_clock = charged(engine, lambda: engine.match_batch(blocks))
         stream, stream_clock = charged(
             engine, lambda: engine.match_stream(blocks).results
         )
@@ -78,14 +77,11 @@ def test_paths_agree_on_results_and_device_clocks(database, queries, knobs):
         expected = canonical(oracle.match_many(blocks))
 
     assert canonical(single) == expected
-    assert canonical(batch) == expected
     assert canonical(stream) == expected
 
     assert single_clock[0] > 0 or not any(expected)
-    assert batch_clock[0] == single_clock[0]
-    assert batch_clock[1] == pytest.approx(single_clock[1], rel=1e-9)
     if knobs["batch_size"] == 1:
         # One query per pipeline batch: the stream launches exactly the
-        # (query, unit) kernels the synchronous paths do.
+        # (query, unit) kernels the one-row runs of ``match`` do.
         assert stream_clock[0] == single_clock[0]
         assert stream_clock[1] == pytest.approx(single_clock[1], rel=1e-9)

@@ -64,36 +64,52 @@ class TestDeviceCapacity:
         )
         split.add_signatures(blocks, keys)
         split.consolidate()  # fits: each device holds ~1/4 of the table
-        assert split.match_batch(blocks[:1])[0].size > 0
+        assert split.match_stream(blocks[:1]).results[0].size > 0
         split.close()
 
     def test_stream_raises_device_fault_instead_of_timing_out(self, workload):
-        # Room for the tagset table but not for the pipeline's query and
-        # result buffers: the synchronous path works, the pipeline's
-        # launches fail, and the run must surface that failure rather
-        # than wait out its queries.
+        # Room for the tagset table, and a filler buffer that takes the
+        # rest: every run's query and result buffers fail to allocate, and
+        # the run must surface that failure rather than wait out its
+        # queries.  Once the filler is freed the engine serves again.
         probe = TagMatch(TagMatchConfig(batch_timeout_s=None))
         probe.add_signatures(workload.blocks, workload.keys)
         probe.consolidate()
         need = probe.memory_usage().gpu_tagset_bytes
         probe.close()
 
-        cfg = TagMatchConfig(device_memory=need + 64, batch_timeout_s=None)
+        cfg = TagMatchConfig(device_memory=need + (1 << 20), batch_timeout_s=None)
         with TagMatch(cfg) as eng:
             eng.add_signatures(workload.blocks, workload.keys)
             eng.consolidate()
-            blocks = workload.queries(64, seed=5).blocks
+            queries = workload.queries(64, seed=5)
+            blocks = queries.blocks
+            fillers = [
+                device.allocate(
+                    (device.ledger.capacity_bytes - device.ledger.allocated_bytes,),
+                    np.uint8,
+                    label="filler",
+                )
+                for device in eng.devices
+            ]
             before = allocated(eng)
             start = time.perf_counter()
             with pytest.raises(CapacityError):
                 eng.match_stream(blocks)
+            with pytest.raises(CapacityError):
+                eng.match(queries.tag_sets[0])
             assert time.perf_counter() - start < 5.0
             assert allocated(eng) == before
+            for filler in fillers:
+                filler.free()
 
             oracle = LinearScanMatcher()
             oracle.build(workload.blocks, workload.keys)
-            got = [sorted(r.tolist()) for r in eng.match_batch(blocks)]
-            assert got == [sorted(r.tolist()) for r in oracle.match_many(blocks)]
+            expected = [sorted(r.tolist()) for r in oracle.match_many(blocks)]
+            assert expected[0]
+            got = [sorted(r.tolist()) for r in eng.match_stream(blocks).results]
+            assert got == expected
+            assert sorted(eng.match(queries.tag_sets[0]).tolist()) == expected[0]
 
 
 class TestLifecycleMisuse:
